@@ -80,7 +80,7 @@ import sys
 from typing import List, Optional
 
 from repro.harness import experiments
-from repro.harness.runner import default_engines
+from repro.harness.runner import ENGINE_ORDER, default_engines
 from repro.harness.serialize import result_to_dict, save_matrix
 from repro.workloads import WORKLOAD_NAMES, make_workload
 from repro.workloads.trace import load_workload, save_workload
@@ -102,11 +102,6 @@ FIGURES = {
     "fig12b": experiments.fig12b_mix_sensitivity,
     "ablation": experiments.ablation,
 }
-
-ENGINE_NAMES = (
-    "ART", "Heart", "SMART", "CuART", "DCART-C", "DCART", "dcart-vec"
-)
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -130,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     figures.add_argument("--save", metavar="DIR", default=None)
 
     run = sub.add_parser("run", help="run one engine on one workload")
-    run.add_argument("--engine", choices=ENGINE_NAMES, required=True)
+    run.add_argument("--engine", choices=ENGINE_ORDER, required=True)
     run.add_argument("--workload", choices=WORKLOAD_NAMES, default="IPGEO")
     run.add_argument("--keys", type=int, default=10_000)
     run.add_argument("--ops", type=int, default=100_000)
@@ -210,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweep", help="run an (engine x workload x seed) grid, optionally "
                       "in parallel"
     )
-    sweep.add_argument("--engines", nargs="+", choices=ENGINE_NAMES,
+    sweep.add_argument("--engines", nargs="+", choices=ENGINE_ORDER,
                        default=["ART", "DCART"])
     sweep.add_argument("--workloads", nargs="+", choices=WORKLOAD_NAMES,
                        default=["IPGEO"])
@@ -234,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="open-loop serving sweep: arrivals, admission, SLO/RTO"
     )
-    serve.add_argument("--engine", choices=ENGINE_NAMES, default="DCART")
+    serve.add_argument("--engine", choices=ENGINE_ORDER, default="DCART")
     serve.add_argument("--workload", choices=WORKLOAD_NAMES, default="IPGEO")
     serve.add_argument("--keys", type=int, default=None)
     serve.add_argument("--ops", type=int, default=None)
@@ -333,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     stats = sub.add_parser(
         "stats", help="run one engine and print its metrics registry"
     )
-    stats.add_argument("--engine", choices=ENGINE_NAMES, default="DCART")
+    stats.add_argument("--engine", choices=ENGINE_ORDER, default="DCART")
     stats.add_argument("--workload", choices=WORKLOAD_NAMES, default="IPGEO")
     stats.add_argument("--keys", type=int, default=10_000)
     stats.add_argument("--ops", type=int, default=100_000)
@@ -348,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--quick", action="store_true",
                        help="CI-sized workload instead of the 1 M-op "
                             "reference")
-    bench.add_argument("--engines", nargs="+", choices=ENGINE_NAMES,
+    bench.add_argument("--engines", nargs="+", choices=ENGINE_ORDER,
                        default=None,
                        help="engines to time (default: ART DCART)")
     bench.add_argument("--record", action="store_true",

@@ -27,7 +27,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Any, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Iterable, List, Optional, Sequence, Tuple
 
 from repro.art.nodes import Leaf
 from repro.art.stats import CACHE_LINE_BYTES, TraversalRecord
@@ -46,6 +46,10 @@ if TYPE_CHECKING:
 
 #: Steady-state initiation interval of the 4-stage pipeline (cycles/op).
 PIPELINE_II = 2
+
+#: One Tree_buffer fetch: (node_id, address, size_bytes, used_bytes,
+#: kind), the field order of :class:`~repro.art.stats.NodeTouch`.
+Touch = Tuple[int, int, int, int, str]
 
 
 @dataclass(slots=True)
@@ -145,8 +149,10 @@ class ShortcutOperatingUnit:
         This is the simulator's innermost loop (hundreds of thousands of
         calls per run), so the shortcut fast path, the Tree_buffer fetch
         and the per-visit counters are inlined here with every attribute
-        lookup hoisted to a local.  The cycle arithmetic is kept
-        *identical* to the original per-op helpers — the golden
+        lookup hoisted to a local.  Each op first yields its touch
+        sequence — the shortcut target (and, for a write, its parent)
+        or the traversal's ``record.touches`` — and one per-touch block
+        then fetches and accounts for every touch.  The golden
         determinism test (tests/harness/test_golden_determinism.py)
         holds this loop to bit-identical results.
         """
@@ -179,23 +185,31 @@ class ShortcutOperatingUnit:
         tb = self.tree_buffer
         fetch_node = tb.fetch
         fvalue = float(bucket.value)
-        # When the Tree_buffer is the (default) value-aware one, its
-        # fetch is fully inlined at the three call sites below — probe,
-        # hit refresh, and miss admit-with-eviction mirror
-        # ValueAwareTreeBuffer.fetch statement for statement, and the
-        # golden determinism test holds the two to identical state.  The
-        # normalised value is loop-invariant per bucket (one value, one
-        # decay multiplier), so the division happens once here.
+        # When the Tree_buffer is exactly the (default) value-aware one,
+        # its fetch is inlined in the per-touch block below — probe, hit
+        # refresh, and miss admit-with-eviction mirror
+        # ValueAwareTreeBuffer.fetch statement for statement, and
+        # tests/harness/test_fetch_differential.py holds the two to
+        # identical state.  Only this loop writes the buffer's hit/miss
+        # counters and sequence number while a bucket drains, so they
+        # live in locals and are written back after it.  The normalised
+        # value is loop-invariant per bucket (one value, one decay
+        # multiplier), so the division happens once here.
         value_aware = type(tb) is ValueAwareTreeBuffer
         if value_aware:
             tb_resident = tb._resident
             tb_resident_get = tb_resident.get
             tb_heap = tb._heap
             tb_capacity = tb.capacity_bytes
+            tb_seq = tb._seq
+            tb_hits = 0
+            tb_misses = 0
             norm = fvalue / tb._mult
         shortcut_miss_stall = self._shortcut_miss_stall
         tree_miss_stall = self._tree_miss_stall
         structure_cycles = self.costs.structure_op_cycles
+        line_bytes = CACHE_LINE_BYTES
+        pipeline_ii = PIPELINE_II
         read_kind = OpKind.READ
         write_kind = OpKind.WRITE
         ceil = math.ceil
@@ -205,15 +219,12 @@ class ShortcutOperatingUnit:
         sync_targets = outcome.global_sync_targets
         visited_ids: List[int] = []  # node ids, in visit order
         visited_append = visited_ids.append
-        bytes_fetched = 0
+        fetched_lines = 0
         bytes_used = 0
         offchip_lines = 0
         partial_matches = 0
-        shortcut_hits = 0
-        shortcut_misses = 0
         stale_shortcuts = 0
         traversals = 0
-        sc_buf_hits = 0
         sc_buf_misses = 0
         structure_mods = 0
         shortcuts_generated = 0
@@ -222,14 +233,12 @@ class ShortcutOperatingUnit:
             stall_cycles = 0
             key = op.key
             kind = op.kind
-            served = False
+            touches: Optional[Sequence[Touch]] = None
 
-            entry = None
             if shortcuts is not None:
                 entry = sc_entries_get(key)
                 if key in sc_buf_entries:
                     sc_buf_move(key)
-                    sc_buf_hits += 1
                 else:
                     sc_buf_misses += 1
                     stall_cycles = shortcut_miss_stall
@@ -253,73 +262,17 @@ class ShortcutOperatingUnit:
                     kind is read_kind or kind is write_kind
                 ):
                     # Shortcut fast path: fetch the target by address and
-                    # validate it still holds this op's key.
+                    # validate it still holds this op's key.  Its touches
+                    # (the leaf, plus the parent for a write) do no
+                    # partial-key matching, so both are tagged "Leaf".
                     node = node_at(entry.target_address)
                     if type(node) is Leaf and node.key == key:
-                        used = len(node.key) + 8  # used_bytes_for_descent
+                        used = len(key) + 8  # used_bytes_for_descent
                         # For a Leaf, size_bytes (header + key + pointer)
-                        # equals header + used, so the fetch span *is*
-                        # the node size.
-                        size = 16 + used
-                        lines = -(-size // CACHE_LINE_BYTES)
-                        addr = node.address
-                        if not value_aware:
-                            hit = fetch_node(addr, size, fvalue)
-                        else:
-                            tb_entry = tb_resident_get(addr)
-                            if tb_entry is not None:
-                                tb.hits += 1
-                                seq = tb._seq + 1
-                                tb._seq = seq
-                                tb_resident[addr] = (norm, seq, tb_entry[2])
-                                heappush(tb_heap, (norm, seq, addr))
-                                hit = True
-                            else:
-                                tb.misses += 1
-                                if size > tb_capacity:
-                                    raise ConfigError(
-                                        f"node of {size} B exceeds "
-                                        f"Tree_buffer capacity"
-                                    )
-                                admitted = True
-                                while tb.used_bytes + size > tb_capacity:
-                                    victim_addr = None
-                                    while tb_heap:
-                                        victim = heappop(tb_heap)
-                                        cur = tb_resident_get(victim[2])
-                                        if (
-                                            cur is not None
-                                            and cur[0] == victim[0]
-                                            and cur[1] == victim[1]
-                                        ):
-                                            victim_addr = victim[2]
-                                            break
-                                    if victim_addr is None:
-                                        break
-                                    if victim[0] > norm:
-                                        heappush(tb_heap, victim)
-                                        tb.rejected_inserts += 1
-                                        admitted = False
-                                        break
-                                    tb.used_bytes -= tb_resident.pop(
-                                        victim_addr
-                                    )[2]
-                                    tb.evictions += 1
-                                if admitted:
-                                    tb.used_bytes += size
-                                    seq = tb._seq + 1
-                                    tb._seq = seq
-                                    tb_resident[addr] = (norm, seq, size)
-                                    heappush(tb_heap, (norm, seq, addr))
-                                hit = False
-                        if hit:
-                            fast_cycles = 0
-                        else:
-                            offchip_lines += lines
-                            fast_cycles = tree_miss_stall
-                        visited_append(node.node_id)
-                        bytes_fetched += lines * CACHE_LINE_BYTES
-                        bytes_used += used
+                        # equals header + used.
+                        touches = ((
+                            node.node_id, node.address, 16 + used, used, "Leaf"
+                        ),)
                         if kind is write_kind:
                             node.value = op.value
                             parent_address = entry.parent_address
@@ -332,90 +285,13 @@ class ShortcutOperatingUnit:
                                 if type(parent) is Leaf:
                                     p_used = len(parent.key) + 8
                                     p_size = 16 + p_used
-                                    p_span = p_size
                                 else:
                                     p_used = len(parent.prefix) + 9
                                     p_size = parent.size_bytes
-                                    p_span = (
-                                        p_size
-                                        if p_size < 16 + p_used
-                                        else 16 + p_used
-                                    )
-                                p_lines = -(-p_span // CACHE_LINE_BYTES)
-                                addr = parent.address
-                                if not value_aware:
-                                    hit = fetch_node(addr, p_size, fvalue)
-                                else:
-                                    tb_entry = tb_resident_get(addr)
-                                    if tb_entry is not None:
-                                        tb.hits += 1
-                                        seq = tb._seq + 1
-                                        tb._seq = seq
-                                        tb_resident[addr] = (
-                                            norm, seq, tb_entry[2],
-                                        )
-                                        heappush(tb_heap, (norm, seq, addr))
-                                        hit = True
-                                    else:
-                                        tb.misses += 1
-                                        if p_size > tb_capacity:
-                                            raise ConfigError(
-                                                f"node of {p_size} B exceeds"
-                                                f" Tree_buffer capacity"
-                                            )
-                                        admitted = True
-                                        while (
-                                            tb.used_bytes + p_size
-                                            > tb_capacity
-                                        ):
-                                            victim_addr = None
-                                            while tb_heap:
-                                                victim = heappop(tb_heap)
-                                                cur = tb_resident_get(
-                                                    victim[2]
-                                                )
-                                                if (
-                                                    cur is not None
-                                                    and cur[0] == victim[0]
-                                                    and cur[1] == victim[1]
-                                                ):
-                                                    victim_addr = victim[2]
-                                                    break
-                                            if victim_addr is None:
-                                                break
-                                            if victim[0] > norm:
-                                                heappush(tb_heap, victim)
-                                                tb.rejected_inserts += 1
-                                                admitted = False
-                                                break
-                                            tb.used_bytes -= tb_resident.pop(
-                                                victim_addr
-                                            )[2]
-                                            tb.evictions += 1
-                                        if admitted:
-                                            tb.used_bytes += p_size
-                                            seq = tb._seq + 1
-                                            tb._seq = seq
-                                            tb_resident[addr] = (
-                                                norm, seq, p_size,
-                                            )
-                                            heappush(
-                                                tb_heap, (norm, seq, addr)
-                                            )
-                                        hit = False
-                                if not hit:
-                                    offchip_lines += p_lines
-                                    fast_cycles += tree_miss_stall
-                                visited_append(parent.node_id)
-                                bytes_fetched += p_lines * CACHE_LINE_BYTES
-                                bytes_used += p_used
-                        shortcut_hits += 1
-                        if fast_cycles < PIPELINE_II:
-                            fast_cycles = PIPELINE_II
-                        cycles = stall_cycles + fast_cycles
-                        if cycles < PIPELINE_II:
-                            cycles = PIPELINE_II
-                        served = True
+                                touches = (touches[0], (
+                                    parent.node_id, parent.address,
+                                    p_size, p_used, "Leaf",
+                                ))
                     else:
                         if entry.corrupted:
                             # Fault-injected corruption: the unit retries
@@ -426,72 +302,82 @@ class ShortcutOperatingUnit:
                         stale_shortcuts += 1
                         shortcuts.note_stale(key)
 
-            if not served:
+            if touches is None:
                 # Full traversal (Traverse_Tree the long way).
                 record = apply_operation(tree, op)
-                traversals += 1
-                shortcut_misses += 1
-                for t_node_id, addr, t_size, t_used, t_kind in record.touches:
-                    fetch = t_size if t_size < 16 + t_used else 16 + t_used
-                    lines = -(-fetch // CACHE_LINE_BYTES)
-                    if not value_aware:
-                        hit = fetch_node(addr, t_size, fvalue)
-                    else:
-                        tb_entry = tb_resident_get(addr)
-                        if tb_entry is not None:
-                            tb.hits += 1
-                            seq = tb._seq + 1
-                            tb._seq = seq
-                            tb_resident[addr] = (norm, seq, tb_entry[2])
-                            heappush(tb_heap, (norm, seq, addr))
-                            hit = True
-                        else:
-                            tb.misses += 1
-                            if t_size > tb_capacity:
-                                raise ConfigError(
-                                    f"node of {t_size} B exceeds "
-                                    f"Tree_buffer capacity"
-                                )
-                            admitted = True
-                            while tb.used_bytes + t_size > tb_capacity:
-                                victim_addr = None
-                                while tb_heap:
-                                    victim = heappop(tb_heap)
-                                    cur = tb_resident_get(victim[2])
-                                    if (
-                                        cur is not None
-                                        and cur[0] == victim[0]
-                                        and cur[1] == victim[1]
-                                    ):
-                                        victim_addr = victim[2]
-                                        break
-                                if victim_addr is None:
-                                    break
-                                if victim[0] > norm:
-                                    heappush(tb_heap, victim)
-                                    tb.rejected_inserts += 1
-                                    admitted = False
-                                    break
-                                tb.used_bytes -= tb_resident.pop(
-                                    victim_addr
-                                )[2]
-                                tb.evictions += 1
-                            if admitted:
-                                tb.used_bytes += t_size
-                                seq = tb._seq + 1
-                                tb._seq = seq
-                                tb_resident[addr] = (norm, seq, t_size)
-                                heappush(tb_heap, (norm, seq, addr))
-                            hit = False
-                    if not hit:
-                        offchip_lines += lines
-                        stall_cycles += tree_miss_stall
-                    visited_append(t_node_id)
-                    bytes_fetched += lines * CACHE_LINE_BYTES
-                    bytes_used += t_used
-                    if t_kind != "Leaf":
-                        partial_matches += 1
+                touches = record.touches
+                served = False
+            else:
+                served = True
 
+            # One Tree_buffer fetch per touch, whichever path produced it.
+            miss_cycles = 0
+            for t_node_id, addr, t_size, t_used, t_kind in touches:
+                span = 16 + t_used
+                if t_size < span:
+                    span = t_size
+                lines = -(-span // line_bytes)
+                if value_aware:
+                    tb_entry = tb_resident_get(addr)
+                    if tb_entry is not None:
+                        tb_hits += 1
+                        tb_seq += 1
+                        tb_resident[addr] = (norm, tb_seq, tb_entry[2])
+                        heappush(tb_heap, (norm, tb_seq, addr))
+                    else:
+                        tb_misses += 1
+                        if t_size > tb_capacity:
+                            raise ConfigError(
+                                f"node of {t_size} B exceeds "
+                                f"Tree_buffer capacity"
+                            )
+                        admitted = True
+                        while tb.used_bytes + t_size > tb_capacity:
+                            victim_addr = None
+                            while tb_heap:
+                                victim = heappop(tb_heap)
+                                cur = tb_resident_get(victim[2])
+                                if (
+                                    cur is not None
+                                    and cur[0] == victim[0]
+                                    and cur[1] == victim[1]
+                                ):
+                                    victim_addr = victim[2]
+                                    break
+                            if victim_addr is None:
+                                break
+                            if victim[0] > norm:
+                                heappush(tb_heap, victim)
+                                tb.rejected_inserts += 1
+                                admitted = False
+                                break
+                            tb.used_bytes -= tb_resident.pop(
+                                victim_addr
+                            )[2]
+                            tb.evictions += 1
+                        if admitted:
+                            tb.used_bytes += t_size
+                            tb_seq += 1
+                            tb_resident[addr] = (norm, tb_seq, t_size)
+                            heappush(tb_heap, (norm, tb_seq, addr))
+                        offchip_lines += lines
+                        miss_cycles += tree_miss_stall
+                elif not fetch_node(addr, t_size, fvalue):
+                    offchip_lines += lines
+                    miss_cycles += tree_miss_stall
+                visited_append(t_node_id)
+                fetched_lines += lines
+                bytes_used += t_used
+                if t_kind != "Leaf":
+                    partial_matches += 1
+
+            if served:
+                cycles = stall_cycles + (
+                    miss_cycles if miss_cycles > pipeline_ii else pipeline_ii
+                )
+            else:
+                traversals += 1
+                stall_cycles += miss_cycles
                 if record.structure_modified:
                     stall_cycles += structure_cycles
                     structure_mods += 1
@@ -515,7 +401,7 @@ class ShortcutOperatingUnit:
                         shortcuts.drop(key)
 
                 cycles = (
-                    stall_cycles if stall_cycles > PIPELINE_II else PIPELINE_II
+                    stall_cycles if stall_cycles > pipeline_ii else pipeline_ii
                 )
 
             if slow:
@@ -523,19 +409,27 @@ class ShortcutOperatingUnit:
             clock += cycles
             completions_append(clock)
 
+        if value_aware:
+            tb._seq = tb_seq
+            tb.hits += tb_hits
+            tb.misses += tb_misses
         outcome.op_ids = [op.op_id for op in ops]
+        outcome.n_ops = len(ops)
+        # Every op probes the Shortcut_buffer once: hit or miss.
+        sc_buf_hits = outcome.n_ops - sc_buf_misses if shortcuts is not None else 0
         if shortcuts is not None:
             sc_buf.hits += sc_buf_hits
             sc_buf.misses += sc_buf_misses
-        outcome.n_ops = len(ops)
         outcome.cycles = clock
         outcome.nodes_visited = len(visited_ids)
-        outcome.bytes_fetched = bytes_fetched
+        outcome.bytes_fetched = fetched_lines * CACHE_LINE_BYTES
         outcome.bytes_used = bytes_used
         outcome.offchip_lines = offchip_lines
         outcome.partial_key_matches = partial_matches
+        # Every op is either served by its shortcut or traversed.
+        shortcut_hits = outcome.n_ops - traversals
         outcome.shortcut_hits = shortcut_hits
-        outcome.shortcut_misses = shortcut_misses
+        outcome.shortcut_misses = traversals
         outcome.stale_shortcuts = stale_shortcuts
         outcome.traversals = traversals
         outcome.visited_ids = visited_ids
@@ -545,7 +439,7 @@ class ShortcutOperatingUnit:
         self.ops_processed += outcome.n_ops
         self.busy_cycles += clock
         self.shortcut_hits_total += shortcut_hits
-        self.shortcut_misses_total += shortcut_misses
+        self.shortcut_misses_total += traversals
         self.shortcut_buffer_hits_total += sc_buf_hits
         self.shortcut_buffer_misses_total += sc_buf_misses
         self.stale_shortcuts_total += stale_shortcuts
@@ -627,10 +521,6 @@ class ShortcutOperatingUnit:
         counter("sou.traversals", self.traversals_total)
         counter("sou.stale_shortcut_repairs", self.stale_shortcuts_total)
         counter("sou.busy_cycles", self.busy_cycles)
-        self._report_occupancy(registry)
-
-    def _report_occupancy(self, registry: "MetricsRegistry") -> None:
-        """Per-level batch occupancy — only the vectorized SOU has any."""
 
     def _corrupted_retry(self, outcome: BucketOutcome) -> int:
         """Bill the bounded retry-with-backoff on a corrupted entry."""

@@ -88,32 +88,14 @@ class ValueAwareTreeBuffer:
         self.misses += 1
         return False
 
-    def probe(self, address: int, value: float) -> bool:
-        """Fused ``lookup`` + ``set_value`` for the SOU fetch path.
-
-        On a hit the resident entry is refreshed (recency) and re-valued
-        in one heap push instead of two; hit/miss accounting and the
-        relative recency order match the unfused pair exactly.
-        """
-        entry = self._resident.get(address)
-        if entry is None:
-            self.misses += 1
-            return False
-        self.hits += 1
-        self._seq += 1
-        seq = self._seq
-        norm = value / self._mult
-        self._resident[address] = (norm, seq, entry[2])
-        heappush(self._heap, (norm, seq, address))
-        return True
-
     def fetch(self, address: int, size_bytes: int, value: float) -> bool:
-        """Fused ``probe`` + ``admit``-on-miss: one node fetch, one call.
+        """One node fetch: re-value on a hit, ``admit`` on a miss.
 
-        The SOU's per-touch sequence is always "probe; if miss, admit" —
-        fusing them saves a call and a residency lookup per touch on the
-        innermost path.  Returns True on a buffer hit; accounting, heap
-        contents, and eviction decisions are exactly the unfused pair's.
+        The readable reference for the SOU's per-touch block, which
+        inlines this body for an exact ``ValueAwareTreeBuffer`` and
+        calls it otherwise.  Returns True on a buffer hit; accounting,
+        heap contents, and eviction decisions are exactly those of a
+        ``lookup`` + ``set_value`` on a hit and an ``admit`` on a miss.
         """
         resident = self._resident
         heap = self._heap
@@ -322,10 +304,6 @@ class LruTreeBuffer:
         return address in self._lru
 
     def lookup(self, address: int) -> bool:
-        return self._lru.lookup(address)
-
-    def probe(self, address: int, value: float) -> bool:
-        """Fused lookup + set_value; LRU ignores the value."""
         return self._lru.lookup(address)
 
     def fetch(self, address: int, size_bytes: int, value: float) -> bool:

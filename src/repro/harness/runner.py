@@ -39,10 +39,7 @@ _GRANULE = 16 * 64
 #: The paper's comparison set, in presentation order.
 ENGINE_ORDER = ("ART", "Heart", "SMART", "CuART", "DCART-C", "DCART")
 #: Extensions available by explicit ``include=`` (not part of Fig. 9).
-#: ``dcart-vec`` is the vectorized DCART simulation engine — identical
-#: results, reported under the same "DCART" label, much faster host
-#: wall-clock (core/vec.py).
-EXTENSION_ENGINES = ("OLC", "dcart-vec")
+EXTENSION_ENGINES = ("OLC",)
 
 
 def _scaled_capacity(
@@ -89,7 +86,6 @@ def scaled_dcart_config(
         enable_combining=base.enable_combining,
         enable_overlap=base.enable_overlap,
         value_aware_tree_buffer=base.value_aware_tree_buffer,
-        vectorized=base.vectorized,
     )
 
 
@@ -109,11 +105,6 @@ def default_engines(n_keys: int, include: Optional[Iterable[str]] = None) -> Lis
         "DCART-C": DcartCEngine(costs=cpu),
         "DCART": DcartAccelerator(config=scaled_dcart_config(n_keys)),
         "OLC": OlcEngine(costs=cpu),
-        "dcart-vec": DcartAccelerator(
-            config=scaled_dcart_config(
-                n_keys, base=DCARTConfig(vectorized=True)
-            )
-        ),
     }
     wanted = list(include) if include is not None else list(ENGINE_ORDER)
     unknown = set(wanted) - set(roster)

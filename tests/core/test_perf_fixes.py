@@ -5,7 +5,8 @@ Three behaviours guarded here:
 * ``hbm_bandwidth_cycles`` bills fractional HBM cycles as whole cycles
   (ceil) instead of silently rounding tiny batches to zero.
 * The lazy-decay ``ValueAwareTreeBuffer`` evicts in exactly the order
-  the old eager rebuild-the-heap implementation did.
+  the old eager rebuild-the-heap implementation did, and its fused
+  ``fetch`` equals the unfused ``lookup``/``set_value``/``admit`` steps.
 * ``OperationStream`` adopts caller-owned lists without copying, with
   ``copy=True`` as the escape hatch.
 """
@@ -39,12 +40,25 @@ class TestBandwidthRounding:
         assert hbm_bandwidth_cycles(2001, 1.0, 500e6) == 1001
 
 
-class EagerDecayBuffer(ValueAwareTreeBuffer):
+class UnfusedFetchBuffer(ValueAwareTreeBuffer):
+    """``fetch`` as the unfused steps it stands for: probe, then re-value
+    on a hit or admit on a miss."""
+
+    def fetch(self, address: int, size_bytes: int, value: float) -> bool:
+        if self.lookup(address):
+            self.set_value(address, value)
+            return True
+        self.admit(address, size_bytes, value)
+        return False
+
+
+class EagerDecayBuffer(UnfusedFetchBuffer):
     """Reference implementation: the pre-PR eager rebuild-on-decay.
 
     Subclasses the lazy buffer but overrides ``decay`` with the original
-    O(n) loop (scale every entry, rebuild the heap), so any divergence
-    in eviction behaviour between the two shows up as a state mismatch.
+    O(n) loop (scale every entry, rebuild the heap), and ``fetch`` with
+    its unfused steps, so any divergence in eviction behaviour between
+    the two shows up as a state mismatch.
     """
 
     def decay(self, factor: float = 0.5) -> None:
@@ -57,22 +71,30 @@ class EagerDecayBuffer(ValueAwareTreeBuffer):
             heapq.heappush(self._heap, (aged, seq, address))
 
 
-# Scripts mix admits, lookups, re-values, and decays.
-action = st.one_of(
-    st.tuples(
-        st.just("admit"),
-        st.integers(min_value=0, max_value=30),
-        st.sampled_from([52, 160, 656]),
-        st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-    ),
-    st.tuples(st.just("lookup"), st.integers(min_value=0, max_value=30)),
-    st.tuples(
-        st.just("set_value"),
-        st.integers(min_value=0, max_value=30),
-        st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-    ),
-    st.tuples(st.just("decay"), st.sampled_from([0.5, 0.25])),
-)
+def actions(value):
+    """Scripts mixing admits, fetches, lookups, re-values, and decays."""
+    return st.one_of(
+        st.tuples(
+            st.sampled_from(["admit", "fetch"]),
+            st.integers(min_value=0, max_value=30),
+            st.sampled_from([52, 160, 656]),
+            value,
+        ),
+        st.tuples(st.just("lookup"), st.integers(min_value=0, max_value=30)),
+        st.tuples(
+            st.just("set_value"),
+            st.integers(min_value=0, max_value=30),
+            value,
+        ),
+        st.tuples(st.just("decay"), st.sampled_from([0.5, 0.25])),
+    )
+
+
+any_value = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
+action = actions(any_value)
+# A few small values make equal-value ties, the admission rule's
+# boundary, common.
+tie_action = actions(st.one_of(st.sampled_from([0.0, 1.0, 2.0, 8.0]), any_value))
 
 
 def _apply(buffer, step):
@@ -80,6 +102,8 @@ def _apply(buffer, step):
     address = 0x1000 + step[1] * 0x1000 if kind != "decay" else None
     if kind == "admit":
         return buffer.admit(address, step[2], step[3])
+    if kind == "fetch":
+        return buffer.fetch(address, step[2], step[3])
     if kind == "lookup":
         return buffer.lookup(address)
     if kind == "set_value":
@@ -87,6 +111,12 @@ def _apply(buffer, step):
         return None
     buffer.decay(step[1])
     return None
+
+
+def _eviction_order(buffer):
+    """Residents as (address, stored value, size), lowest victim first."""
+    ranked = sorted(buffer._resident.items(), key=lambda item: item[1][:2])
+    return [(address, norm, size) for address, (norm, _, size) in ranked]
 
 
 class TestLazyDecayEvictionOrder:
@@ -101,8 +131,23 @@ class TestLazyDecayEvictionOrder:
             # lazy buffer made exactly the eager buffer's evictions.
             assert set(lazy._resident) == set(eager._resident)
             assert lazy.used_bytes == eager.used_bytes
+            assert (lazy.hits, lazy.misses) == (eager.hits, eager.misses)
             assert lazy.evictions == eager.evictions
             assert lazy.rejected_inserts == eager.rejected_inserts
+
+    @given(st.lists(tie_action, min_size=50, max_size=200))
+    @settings(max_examples=80, deadline=None)
+    def test_fetch_matches_unfused_steps(self, script):
+        lazy = ValueAwareTreeBuffer(16 * 64)
+        unfused = UnfusedFetchBuffer(16 * 64)
+        for step in script:
+            assert _apply(lazy, step) == _apply(unfused, step)
+            # Both decay lazily, so stored values compare exactly.
+            assert _eviction_order(lazy) == _eviction_order(unfused)
+            assert lazy.used_bytes == unfused.used_bytes
+            assert (lazy.hits, lazy.misses) == (unfused.hits, unfused.misses)
+            assert lazy.evictions == unfused.evictions
+            assert lazy.rejected_inserts == unfused.rejected_inserts
 
     def test_many_decays_do_not_underflow(self):
         buf = ValueAwareTreeBuffer(1000)

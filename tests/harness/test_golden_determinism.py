@@ -19,7 +19,9 @@ import os
 import sys
 from dataclasses import replace
 
+import repro.core.accelerator as accelerator_module
 from repro.core.accelerator import DcartAccelerator
+from repro.core.tree_buffer import ValueAwareTreeBuffer
 from repro.engines.art_rowex import ArtRowexEngine
 from repro.harness.runner import scaled_cpu_costs, scaled_dcart_config
 from repro.harness.serialize import result_to_full_dict
@@ -72,27 +74,28 @@ class TestGoldenDeterminism:
         # iteration-order or id()-dependent behaviour).
         assert golden_runs() == golden_runs()
 
-    def test_vec_engine_matches_scalar_golden(self):
-        # The vectorized engine is held to the *scalar* engine's golden
-        # image: same workload, same config plus the vectorized flag,
-        # compared field-by-field against the "DCART" entry — the file
-        # is never regenerated for the vec engine, so any divergence is
-        # a vec bug by definition.
+    def test_reference_fetch_matches_golden(self, monkeypatch):
+        # The SOU inlines ValueAwareTreeBuffer.fetch only for that exact
+        # class; a trivial subclass sends every touch through the
+        # method instead.  That reference path is held to the same
+        # "DCART" image, which is never regenerated for it.
+        class ReferenceFetchBuffer(ValueAwareTreeBuffer):
+            pass
+
+        monkeypatch.setattr(
+            accelerator_module, "ValueAwareTreeBuffer", ReferenceFetchBuffer
+        )
         with open(GOLDEN) as handle:
             golden = json.load(handle)
         workload = make_workload(
             "RS", n_keys=N_KEYS, n_ops=N_OPS, seed=SEED, op_skew=0.99
         )
-        config = replace(
-            scaled_dcart_config(N_KEYS),
-            batch_size=BATCH_SIZE,
-            vectorized=True,
-        )
+        config = replace(scaled_dcart_config(N_KEYS), batch_size=BATCH_SIZE)
         run = result_to_full_dict(DcartAccelerator(config=config).run(workload))
         expected = golden["DCART"]
         for field in expected:
             assert run[field] == expected[field], (
-                f"dcart-vec.{field} diverged from the scalar golden"
+                f"reference-fetch DCART.{field} diverged from golden"
             )
         assert run == expected
 
