@@ -19,7 +19,8 @@ mutation on *all* paths from function entry, not just the happy one.
   ``ops_logged``, ``ops_applied``, ``ops_shipped``, ``bytes_shipped``,
   ``batches_logged``, ``checkpoints_written``, ``records_written``).
 * **Events**: calls (by name) into the WAL machinery —
-  ``begin_batch``/``log_op``/``commit_batch``/``abandon_batch``,
+  ``begin_batch``/``log_op``/``commit_batch``/``commit_group``/
+  ``abandon_batch``,
   ``append``/``append_torn``/``sync``, frame codecs
   (``encode_batch_frames``/``decode_frames``/``decode_record``/
   ``scan_wal``), ``write_checkpoint``, and replication's
@@ -56,7 +57,7 @@ _COMMITTED = re.compile(
 )
 
 _EVENTS = frozenset((
-    "begin_batch", "log_op", "commit_batch", "abandon_batch",
+    "begin_batch", "log_op", "commit_batch", "commit_group", "abandon_batch",
     "append", "append_torn", "sync",
     "encode_batch_frames", "decode_frames", "decode_record", "scan_wal",
     "write_checkpoint", "ship", "advance", "catch_up", "replay",

@@ -621,7 +621,11 @@ def _cmd_checkpoint(args) -> int:
     config = resilience.chaos_config(n_keys)
     accelerator = DcartAccelerator(config=config, durability=durability)
     tree = accelerator.build_tree(workload)
-    result = accelerator.run(workload, tree=tree)
+    try:
+        result = accelerator.run(workload, tree=tree)
+    except ConfigError as exc:
+        print(f"bad durability setup: {exc}", file=sys.stderr)
+        return 2
     validation = validate_tree(tree)
 
     durability_stats = {

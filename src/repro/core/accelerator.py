@@ -264,7 +264,9 @@ class AcceleratorSession:
         if durability is not None:
             ckpt_seconds = durability.maybe_checkpoint(
                 batch_index, self.tree,
-                accel_state=durability_accel_state(self.shortcuts, self.tables),
+                accel_state=lambda: durability_accel_state(
+                    self.shortcuts, self.tables
+                ),
             )
             batch_durability_cycles += int(ckpt_seconds * costs.clock_hz)
             self.durability_cycles_total += batch_durability_cycles

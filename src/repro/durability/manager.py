@@ -5,13 +5,16 @@ Wiring (see :class:`~repro.core.accelerator.DcartAccelerator`):
 * :meth:`attach` — once per run, before the first batch: opens the WAL
   and writes the **base checkpoint** (batch ``-1``) capturing the
   bulk-loaded tree, so recovery always has the load state to build on.
-* :meth:`log_batch` — before SOU dispatch: appends
-  ``BEGIN / op* / COMMIT`` for the batch's mutating ops.  The COMMIT is
-  the batch's fsync point; only after it returns may the SOUs mutate
-  the tree.  Crashing anywhere inside leaves an uncommitted (possibly
-  torn) group that recovery discards — write-ahead in the strict sense.
+* :meth:`log_batch` — before SOU dispatch: group-commits
+  ``BEGIN / op* / COMMIT`` for the batch's mutating ops — one write and
+  one flush for the whole group.  The COMMIT is the batch's fsync point;
+  only after it returns may the SOUs mutate the tree.  Crashing anywhere
+  inside leaves an uncommitted (possibly torn) group that recovery
+  discards — write-ahead in the strict sense.
 * :meth:`maybe_checkpoint` — after the batch is applied: every
-  ``checkpoint_every`` batches, snapshots tree + accelerator state.
+  ``checkpoint_every`` batches, snapshots tree + accelerator state.  The
+  accelerator state arrives as a callable and is built only for the
+  batches that actually write a checkpoint.
 * :meth:`snapshot` / billing — every byte and fsync is billed through
   :class:`~repro.model.costs.DurabilityCosts`; the accelerator converts
   the returned seconds to cycles and adds them to the batch, so
@@ -27,7 +30,7 @@ commit, mid-checkpoint payload, or mid-checkpoint manifest.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, NoReturn, Optional
 
 from repro.art.tree import AdaptiveRadixTree
 from repro.durability import checkpoint as ckpt
@@ -50,10 +53,13 @@ LOG = get_logger("durability")
 CRASH_WAL_MID_APPEND = "wal-mid-append"
 CRASH_WAL_PRE_COMMIT = "wal-pre-commit"
 CRASH_WAL_TORN_COMMIT = "wal-torn-commit"
-CRASH_POINTS = (
+WAL_CRASH_POINTS = (
     CRASH_WAL_MID_APPEND,
     CRASH_WAL_PRE_COMMIT,
     CRASH_WAL_TORN_COMMIT,
+)
+CRASH_POINTS = (
+    *WAL_CRASH_POINTS,
     ckpt.CRASH_PAYLOAD,
     ckpt.CRASH_MANIFEST,
 )
@@ -111,7 +117,13 @@ class DurabilityManager:
         per run: re-attaching to the same directory continues the
         existing WAL (a restarted run appends after recovery).
         """
-        os.makedirs(self.directory, exist_ok=True)
+        try:
+            os.makedirs(self.directory, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot create durability directory {self.directory!r}: "
+                f"{exc.strerror or exc}"
+            ) from exc
         seconds = self._checkpoint(tree, batch_index=-1, accel_state={})
         self.wal = WriteAheadLog(
             os.path.join(self.directory, WAL_FILENAME),
@@ -133,12 +145,26 @@ class DurabilityManager:
             return 0.0
         wal = self.wal
         seconds_before = wal.modelled_seconds
+        if self._armed_point in WAL_CRASH_POINTS:
+            self._crash_in_group(wal, batch_index, mutating)
+        wal.commit_group(batch_index, mutating)
+        self.ops_logged += len(mutating)
+        self.batches_logged += 1
+        return wal.modelled_seconds - seconds_before
 
+    def _crash_in_group(
+        self, wal: WriteAheadLog, batch_index: int, mutating: List[Operation]
+    ) -> NoReturn:
+        """Die at the armed WAL crash point, record by record.
+
+        The group goes out one record at a time so the kill lands after
+        exactly the bytes the crash point promises.
+        """
         armed = self._armed_point
         wal.begin_batch(batch_index)
         if armed == CRASH_WAL_MID_APPEND:
             # Append a prefix of the group, then die mid-record.
-            keep_ops = self._armed_detail % max(1, len(mutating))
+            keep_ops = self._armed_detail % len(mutating)
             for op in mutating[:keep_ops]:
                 wal.log_op(op)
             torn = op_record(mutating[keep_ops])
@@ -160,28 +186,28 @@ class DurabilityManager:
                 {"point": CRASH_WAL_PRE_COMMIT, "batch": batch_index,
                  "ops_appended": len(mutating)},
             )
-        if armed == CRASH_WAL_TORN_COMMIT:
-            commit = CommitRecord(batch_index, len(mutating))
-            kept = wal.append_torn(commit, keep_bytes=5 + self._armed_detail % 4)
-            self._disarm()
-            wal.abandon_batch()
-            raise SimulatedCrash(
-                f"crash mid-COMMIT of batch {batch_index}",
-                {"point": CRASH_WAL_TORN_COMMIT, "batch": batch_index,
-                 "torn_record_bytes": kept},
-            )
-        wal.commit_batch(len(mutating))
-        self.ops_logged += len(mutating)
-        self.batches_logged += 1
-        return wal.modelled_seconds - seconds_before
+        commit = CommitRecord(batch_index, len(mutating))
+        kept = wal.append_torn(commit, keep_bytes=5 + self._armed_detail % 4)
+        self._disarm()
+        wal.abandon_batch()
+        raise SimulatedCrash(
+            f"crash mid-COMMIT of batch {batch_index}",
+            {"point": CRASH_WAL_TORN_COMMIT, "batch": batch_index,
+             "torn_record_bytes": kept},
+        )
 
     def maybe_checkpoint(
         self,
         batch_index: int,
         tree: AdaptiveRadixTree,
-        accel_state: Optional[Dict] = None,
+        accel_state: Optional[Callable[[], Dict]] = None,
     ) -> float:
-        """Checkpoint if due (or if a checkpoint crash point is armed)."""
+        """Checkpoint if due (or if a checkpoint crash point is armed).
+
+        ``accel_state`` builds the accelerator snapshot; it is called
+        only when a checkpoint is actually written, so batches between
+        checkpoints pay nothing for it.
+        """
         armed = self._armed_point in (ckpt.CRASH_PAYLOAD, ckpt.CRASH_MANIFEST)
         due = (batch_index + 1) % self.checkpoint_every == 0
         if not due and not armed:
@@ -189,7 +215,8 @@ class DurabilityManager:
         crash = self._armed_point if armed else None
         if armed:
             self._disarm()
-        return self._checkpoint(tree, batch_index, accel_state or {}, crash=crash)
+        state = accel_state() if accel_state is not None else {}
+        return self._checkpoint(tree, batch_index, state, crash=crash)
 
     def _checkpoint(
         self,

@@ -147,9 +147,13 @@ def recover(
     scan: WalScan = scan_wal(wal_path(directory))
 
     if chosen is None and not scan.records:
+        wal_state = (
+            f"WAL unusable: {scan.torn_reason}" if scan.torn
+            else "empty/missing WAL"
+        )
         raise RecoveryError(
             f"no recoverable state in {directory!r}: "
-            f"{len(skipped)} corrupt checkpoints, empty/missing WAL"
+            f"{len(skipped)} corrupt checkpoints, {wal_state}"
         )
 
     if chosen is not None:

@@ -25,10 +25,14 @@ or whose CRC mismatches ends the scan — everything before it is intact
 (appends never rewrite earlier bytes), everything from it on is the torn
 tail.
 
-Every append is billed through
-:class:`~repro.model.costs.DurabilityCosts`; a COMMIT is an fsync point
-(the batch's durability barrier), modelled — and optionally executed
-with a real ``os.fsync`` — by :meth:`WriteAheadLog.sync`.
+Every record is billed through
+:class:`~repro.model.costs.DurabilityCosts`, one term per record in
+record order; a COMMIT is an fsync point (the batch's durability
+barrier), modelled — and optionally executed with a real ``os.fsync`` —
+by :meth:`WriteAheadLog.sync`.  :func:`group_frames` is the one encoder
+of a batch's record group: the replication stream
+(:func:`encode_batch_frames`) and the writer's group commit
+(:meth:`WriteAheadLog.commit_group`) both emit its bytes.
 """
 
 from __future__ import annotations
@@ -51,6 +55,9 @@ WAL_VERSION = 1
 FILE_HEADER = WAL_MAGIC + struct.pack("<HH", WAL_VERSION, 0)
 
 _FRAME = struct.Struct("<II")  # payload length, crc32(payload)
+_BEGIN = struct.Struct("<BI")  # REC_BEGIN, batch_index
+_OP_HEAD = struct.Struct("<BBQH")  # REC_OP, op code, op_id, key_len
+_COMMIT = struct.Struct("<BII")  # REC_COMMIT, batch_index, n_ops
 
 REC_BEGIN = 1
 REC_OP = 2
@@ -66,25 +73,27 @@ _CODE_TO_OP = {code: kind for kind, code in _OP_TO_CODE.items()}
 
 _V_NONE, _V_FALSE, _V_TRUE, _V_INT, _V_FLOAT, _V_BYTES, _V_STR = range(7)
 
+_INT_HEAD = struct.Struct("<BH")  # _V_INT, length of the big-endian body
+_FLOAT_VALUE = struct.Struct("<Bd")
+_BLOB_HEAD = struct.Struct("<BI")  # _V_BYTES/_V_STR, body length
+_CONSTANTS = {None: bytes([_V_NONE]), False: bytes([_V_FALSE]),
+              True: bytes([_V_TRUE])}
+
 
 def encode_value(value: object) -> bytes:
     """Encode one op payload value into the tagged wire form."""
-    if value is None:
-        return bytes([_V_NONE])
-    if value is False:
-        return bytes([_V_FALSE])
-    if value is True:
-        return bytes([_V_TRUE])
+    if value is None or value is False or value is True:
+        return _CONSTANTS[value]
     if isinstance(value, int):
         raw = value.to_bytes((value.bit_length() + 8) // 8 or 1, "big", signed=True)
-        return bytes([_V_INT]) + struct.pack("<H", len(raw)) + raw
+        return _INT_HEAD.pack(_V_INT, len(raw)) + raw
     if isinstance(value, float):
-        return bytes([_V_FLOAT]) + struct.pack("<d", value)
+        return _FLOAT_VALUE.pack(_V_FLOAT, value)
     if isinstance(value, (bytes, bytearray)):
-        return bytes([_V_BYTES]) + struct.pack("<I", len(value)) + bytes(value)
+        return _BLOB_HEAD.pack(_V_BYTES, len(value)) + bytes(value)
     if isinstance(value, str):
         raw = value.encode("utf-8")
-        return bytes([_V_STR]) + struct.pack("<I", len(raw)) + raw
+        return _BLOB_HEAD.pack(_V_STR, len(raw)) + raw
     raise SimulationError(
         f"WAL cannot encode value of type {type(value).__name__}; "
         "durable workloads carry None/bool/int/float/bytes/str payloads"
@@ -167,19 +176,22 @@ def frame(payload: bytes) -> bytes:
     return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
 
 
+def _op_payload(kind: OpKind, op_id: int, key: bytes, value: object) -> bytes:
+    return (
+        _OP_HEAD.pack(REC_OP, _OP_TO_CODE[kind], op_id, len(key))
+        + key
+        + encode_value(value)
+    )
+
+
 def encode_record(record: WalRecord) -> bytes:
     """Serialise one record payload (unframed)."""
     if isinstance(record, BeginRecord):
-        return bytes([REC_BEGIN]) + struct.pack("<I", record.batch)
+        return _BEGIN.pack(REC_BEGIN, record.batch)
     if isinstance(record, OpRecord):
-        return (
-            bytes([REC_OP, _OP_TO_CODE[record.op_kind]])
-            + struct.pack("<QH", record.op_id, len(record.key))
-            + record.key
-            + encode_value(record.value)
-        )
+        return _op_payload(record.op_kind, record.op_id, record.key, record.value)
     if isinstance(record, CommitRecord):
-        return bytes([REC_COMMIT]) + struct.pack("<II", record.batch, record.n_ops)
+        return _COMMIT.pack(REC_COMMIT, record.batch, record.n_ops)
     raise SimulationError(f"unknown WAL record {record!r}")
 
 
@@ -218,20 +230,33 @@ def is_loggable(op: Operation) -> bool:
     return op.kind in _OP_TO_CODE
 
 
+def group_frames(batch_index: int, mutating: List[Operation]) -> List[bytes]:
+    """One batch's framed ``BEGIN / op* / COMMIT`` records, in order.
+
+    ``mutating`` holds only loggable ops.  Each op is packed straight
+    from the workload operation — the bytes :func:`encode_record` gives
+    its :class:`OpRecord`, without building one.
+    """
+    frames = [frame(_BEGIN.pack(REC_BEGIN, batch_index))]
+    frames.extend(
+        frame(_op_payload(op.kind, op.op_id, bytes(op.key), op.value))
+        for op in mutating
+    )
+    frames.append(frame(_COMMIT.pack(REC_COMMIT, batch_index, len(mutating))))
+    return frames
+
+
 def encode_batch_frames(batch_index: int, operations: List[Operation]) -> bytes:
     """One batch's complete framed record group, as raw log bytes.
 
     ``BEGIN / op* / COMMIT`` with every record length+CRC framed —
-    byte-identical to what :class:`WriteAheadLog` would append for the
-    batch.  The cluster replication link ships exactly these bytes, so
-    a replica's catch-up replay decodes the same wire format recovery
-    does.  Non-mutating ops are skipped, as in :meth:`log_op` usage.
+    byte-identical to what :class:`WriteAheadLog` appends for the batch.
+    The cluster replication link ships exactly these bytes, so a
+    replica's catch-up replay decodes the same wire format recovery
+    does.  Non-mutating ops are skipped, as the WAL skips them.
     """
     loggable = [op for op in operations if is_loggable(op)]
-    parts = [frame(encode_record(BeginRecord(batch_index)))]
-    parts.extend(frame(encode_record(op_record(op))) for op in loggable)
-    parts.append(frame(encode_record(CommitRecord(batch_index, len(loggable)))))
-    return b"".join(parts)
+    return b"".join(group_frames(batch_index, loggable))
 
 
 def decode_frames(data: bytes, offset: int = 0) -> List[WalRecord]:
@@ -273,11 +298,17 @@ def decode_frames(data: bytes, offset: int = 0) -> List[WalRecord]:
 class WriteAheadLog:
     """Append-only log writer with fsync-point cost accounting.
 
-    The writer flushes the OS buffer on every append so the chaos
-    harness's crash points see exactly the bytes written before the
-    kill; *durability* points (what a real device guarantees after power
-    loss) are only the explicit :meth:`sync` calls, billed through the
-    cost model and optionally executed with ``os.fsync``.
+    A committed batch is one group commit (:meth:`commit_group`): its
+    whole ``BEGIN / op* / COMMIT`` group goes out in one write and one
+    flush before the fsync point.  The per-record protocol
+    (:meth:`begin_batch` / :meth:`log_op` / :meth:`commit_batch`) writes
+    the same bytes one record at a time, flushing after each, so the
+    chaos harness's crash points see exactly the bytes written before
+    the kill.  *Durability* points (what a real device guarantees after
+    power loss) are only the explicit :meth:`sync` calls, billed through
+    the cost model and optionally executed with ``os.fsync``.  Either
+    way each record is billed on its own, in record order, so both paths
+    accumulate bit-identical modelled seconds.
     """
 
     def __init__(
@@ -348,6 +379,31 @@ class WriteAheadLog:
         if self._open_batch is None:
             raise SimulationError("log_op outside a WAL batch")
         self.append(op_record(op))
+
+    def commit_group(self, batch_index: int, mutating: List[Operation]) -> None:
+        """Append a batch's whole record group in one write, then sync.
+
+        Equivalent to ``begin_batch`` / ``log_op`` per op /
+        ``commit_batch`` — same bytes, counters and modelled seconds —
+        at one write and one flush per batch.
+        """
+        if self._open_batch is not None:
+            raise SimulationError(
+                f"batch {self._open_batch} still open; WAL batches do not nest"
+            )
+        frames = group_frames(batch_index, mutating)
+        data = b"".join(frames)
+        self._file.write(data)
+        self.bytes_written += len(data)
+        self.records_written += len(frames)
+        # Bill record by record: float addition is not associative, so
+        # one summed length would drift from the per-record path.
+        seconds = self.modelled_seconds
+        wal_seconds = self.costs.wal_seconds
+        for raw in frames:
+            seconds += wal_seconds(len(raw))
+        self.modelled_seconds = seconds
+        self.sync()
 
     def commit_batch(self, n_ops: int) -> None:
         """Append COMMIT and cross the batch's fsync point."""

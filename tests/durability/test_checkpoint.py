@@ -2,13 +2,19 @@
 
 import json
 import os
+import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.art.tree import AdaptiveRadixTree
 from repro.durability.checkpoint import (
+    CHECKPOINT_FORMAT,
     CRASH_MANIFEST,
     CRASH_PAYLOAD,
+    REC_CKPT_ACCEL,
+    REC_CKPT_HEADER,
+    REC_CKPT_ITEM,
     build_payload,
     checkpoint_name,
     list_checkpoints,
@@ -17,6 +23,7 @@ from repro.durability.checkpoint import (
     restore_tree,
     write_checkpoint,
 )
+from repro.durability.wal import encode_value, frame
 from repro.errors import SimulatedCrash, SimulationError
 
 
@@ -112,3 +119,54 @@ class TestCrashPoints:
         assert found[0].manifest == {}  # torn JSON surfaces as unreadable
         with pytest.raises(SimulationError, match="unreadable manifest"):
             load_checkpoint(found[0])
+
+
+# ---------------------------------------------------------------------------
+# the payload format, pinned by a readable reference encoder
+# ---------------------------------------------------------------------------
+
+
+def _encode_item(key, value):
+    return (
+        bytes([REC_CKPT_ITEM])
+        + struct.pack("<H", len(key))
+        + key
+        + encode_value(value)
+    )
+
+
+def reference_payload(tree, batch_index, accel_state):
+    """Record by record: header, ``frame(_encode_item(...))`` per item, state."""
+    header = bytes([REC_CKPT_HEADER]) + struct.pack(
+        "<IqQ", CHECKPOINT_FORMAT, batch_index, len(tree)
+    )
+    chunks = [frame(header)]
+    chunks.extend(frame(_encode_item(key, value)) for key, value in tree.items())
+    accel_json = json.dumps(accel_state, sort_keys=True).encode("utf-8")
+    chunks.append(frame(bytes([REC_CKPT_ACCEL]) + accel_json))
+    return b"".join(chunks)
+
+
+@given(
+    items=st.dictionaries(
+        st.binary(min_size=4, max_size=4),  # fixed width: ART keys are prefix-free
+        st.one_of(
+            st.none(),
+            st.integers(min_value=-(2**70), max_value=2**70),
+            st.binary(max_size=10),
+            st.text(max_size=8),
+            st.floats(allow_nan=False),
+        ),
+        max_size=60,
+    ),
+    batch_index=st.integers(min_value=-1, max_value=10_000),
+)
+@settings(max_examples=60, deadline=None)
+def test_build_payload_matches_reference_encoder(items, batch_index):
+    tree = AdaptiveRadixTree()
+    for key, value in items.items():
+        tree.upsert(key, value)
+    accel = {"bucket_spilled_bytes": len(items)}
+    assert build_payload(tree, batch_index, accel) == reference_payload(
+        tree, batch_index, accel
+    )

@@ -88,8 +88,16 @@ class TestRecover:
         assert result.tree.search(key(102)) == "c"
 
     def test_empty_directory_raises(self, tmp_path):
-        with pytest.raises(RecoveryError):
+        with pytest.raises(RecoveryError, match="empty/missing WAL"):
             recover(str(tmp_path))
+
+    def test_corrupt_wal_is_reported_as_unusable_not_missing(self, tmp_path):
+        with open(wal_path(str(tmp_path)), "wb") as handle:
+            handle.write(b"garbage")
+        with pytest.raises(RecoveryError) as excinfo:
+            recover(str(tmp_path))
+        assert "WAL unusable: bad file magic" in str(excinfo.value)
+        assert "missing" not in str(excinfo.value)
 
     def test_replay_crash_is_idempotent(self, tmp_path):
         directory = str(tmp_path)

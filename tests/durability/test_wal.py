@@ -1,9 +1,13 @@
 """WAL unit tests: framing, value codec, batch protocol, torn tails."""
 
+import dataclasses
+import os
 import struct
+import tempfile
 import zlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.durability.wal import (
     FILE_HEADER,
@@ -13,6 +17,7 @@ from repro.durability.wal import (
     WriteAheadLog,
     decode_record,
     decode_value,
+    encode_batch_frames,
     encode_record,
     encode_value,
     frame,
@@ -21,6 +26,7 @@ from repro.durability.wal import (
     scan_wal,
 )
 from repro.errors import SimulationError
+from repro.model.costs import DEFAULT_DURABILITY_COSTS
 from repro.workloads.ops import OpKind, Operation
 
 
@@ -218,3 +224,113 @@ class TestTornDetection:
         assert scan.torn
         assert scan.torn_reason == "bad file magic"
         assert scan.committed == {}
+
+
+# ---------------------------------------------------------------------------
+# group commit: byte and billing identity with the per-record path
+# ---------------------------------------------------------------------------
+
+
+def reference_encode_value(value):
+    """The readable tagged codec the fast ``encode_value`` must equal."""
+    if value is None:
+        return bytes([0])
+    if value is False:
+        return bytes([1])
+    if value is True:
+        return bytes([2])
+    if isinstance(value, int):
+        raw = value.to_bytes((value.bit_length() + 8) // 8 or 1, "big", signed=True)
+        return bytes([3]) + struct.pack("<H", len(raw)) + raw
+    if isinstance(value, float):
+        return bytes([4]) + struct.pack("<d", value)
+    if isinstance(value, bytes):
+        return bytes([5]) + struct.pack("<I", len(value)) + value
+    raw = value.encode("utf-8")
+    return bytes([6]) + struct.pack("<I", len(raw)) + raw
+
+
+payload_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.floats(allow_nan=False),
+    st.binary(max_size=12),
+    st.text(max_size=8),
+)
+
+op_lists = st.lists(
+    st.tuples(
+        st.sampled_from([OpKind.WRITE, OpKind.DELETE, OpKind.READ]),
+        st.binary(min_size=1, max_size=6),
+        payload_values,
+    ),
+    max_size=40,
+)
+
+
+def to_batches(specs, batch_size):
+    ops = [
+        Operation(op_id=i * 7919, kind=kind, key=key,
+                  value=value if kind is OpKind.WRITE else None)
+        for i, (kind, key, value) in enumerate(specs)
+    ]
+    return [ops[i : i + batch_size] for i in range(0, len(ops), batch_size)]
+
+
+@given(value=payload_values)
+@settings(max_examples=200, deadline=None)
+def test_encode_value_matches_reference_codec(value):
+    assert encode_value(value) == reference_encode_value(value)
+
+
+# With a negligible fsync term the per-record terms are not absorbed
+# into a much larger sum, so a drift in their accumulation order shows.
+cost_models = st.sampled_from(
+    [DEFAULT_DURABILITY_COSTS,
+     dataclasses.replace(DEFAULT_DURABILITY_COSTS, fsync_latency_us=1e-9)]
+)
+
+
+@given(
+    specs=op_lists,
+    batch_size=st.integers(min_value=1, max_value=9),
+    costs=cost_models,
+)
+@settings(max_examples=80, deadline=None)
+def test_group_commit_is_byte_and_billing_identical(specs, batch_size, costs):
+    batches = to_batches(specs, batch_size)
+    with tempfile.TemporaryDirectory(prefix="dcart-wal-") as directory:
+        group_path = os.path.join(directory, "group.log")
+        record_path = os.path.join(directory, "record.log")
+        with WriteAheadLog(group_path, costs) as group, \
+                WriteAheadLog(record_path, costs) as per_record:
+            for batch_index, batch in enumerate(batches):
+                mutating = [op for op in batch if is_loggable(op)]
+                group.commit_group(batch_index, mutating)
+                per_record.begin_batch(batch_index)
+                for op in mutating:
+                    per_record.log_op(op)
+                per_record.commit_batch(len(mutating))
+        with open(group_path, "rb") as handle:
+            group_bytes = handle.read()
+        with open(record_path, "rb") as handle:
+            record_bytes = handle.read()
+
+    shipped = FILE_HEADER + b"".join(
+        encode_batch_frames(batch_index, batch)
+        for batch_index, batch in enumerate(batches)
+    )
+    assert group_bytes == record_bytes == shipped
+    # Exact equality: the group commit bills record by record, in order.
+    assert group.modelled_seconds == per_record.modelled_seconds
+    assert group.bytes_written == per_record.bytes_written == len(shipped)
+    assert group.records_written == per_record.records_written
+    assert group.fsyncs == per_record.fsyncs == len(batches)
+
+
+def test_group_commit_refuses_an_open_batch(tmp_path):
+    with WriteAheadLog(str(tmp_path / "wal.log")) as wal:
+        wal.begin_batch(0)
+        with pytest.raises(SimulationError):
+            wal.commit_group(1, [write_op(0, b"a", 1)])

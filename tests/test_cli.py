@@ -275,6 +275,22 @@ class TestDurabilityCommands:
         assert main(self.CKPT[:-1] + ["0", "--dir", str(tmp_path)]) == 2
         assert "bad durability setup" in capsys.readouterr().err
 
+    def test_checkpoint_dir_that_is_a_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "f"
+        path.write_bytes(b"")
+        assert main(self.CKPT + ["--dir", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bad durability setup:")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_recover_corrupt_wal_names_the_damage(self, capsys, tmp_path):
+        (tmp_path / "wal.log").write_bytes(b"garbage")
+        assert main(["recover", "--dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "recovery failed:" in err
+        assert "WAL unusable: bad file magic" in err
+
     def test_campaign(self, capsys):
         assert main([
             "recover", "--campaign", "2", "--seed", "3",
