@@ -8,13 +8,10 @@ paper's 50 M-key trees; this example derives that kind of number from
 first principles for a scaled workload: trace the node accesses an
 operation stream makes, compute the reuse-distance profile, and read
 the miss-ratio curve — then cross-check against the actual value-aware
-buffer at a few capacities, and emit a Markdown report of a full
-engine comparison.
+buffer at a few capacities, and print a full engine comparison.
 """
 
 from repro import DCARTConfig, DcartAccelerator, make_workload
-from repro.analysis import markdown_report
-from repro.art import record_traversal
 from repro.engines.base import apply_operation
 from repro.harness.formatting import format_table
 from repro.harness.runner import default_engines, run_matrix
@@ -78,17 +75,20 @@ def main() -> None:
         title="Value-aware Tree_buffer, measured",
     ))
 
-    # A full comparison, rendered as Markdown for a report/PR.
-    matrix = run_matrix(
-        default_engines(N_KEYS, include=["ART", "SMART", "CuART", "DCART"]),
-        [workload],
-    )
-    print("\n" + markdown_report(
-        matrix,
+    # A full engine comparison on the same workload.
+    engines = ["ART", "SMART", "CuART", "DCART"]
+    matrix = run_matrix(default_engines(N_KEYS, include=engines), [workload])
+    rows = [
+        [name, result.elapsed_seconds * 1e3, result.throughput_mops,
+         result.energy_joules, result.p99_latency_us]
+        for name, result in (
+            (name, matrix[workload.name][name]) for name in engines
+        )
+    ]
+    print("\n" + format_table(
+        ["engine", "ms", "Mops/s", "energy_J", "p99_us"], rows,
         title=f"IPGEO @ {N_KEYS} keys / {N_OPS} ops",
-        engine_order=["ART", "SMART", "CuART", "DCART"],
     ))
-
 
 if __name__ == "__main__":
     main()

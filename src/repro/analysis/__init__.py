@@ -1,22 +1,14 @@
-"""Post-processing of experiment results.
+"""Post-processing of experiment results: charts and CSV export.
 
-* :mod:`report`  — turn a results matrix into a Markdown report
-  (per-workload tables + the band summary the paper quotes);
-* :mod:`regress` — compare two saved matrices and flag metric drift,
-  the guard rail for cost-model recalibration.
+Campaign reports live in :mod:`repro.experiments.report`.
 """
 
 from repro.analysis.charts import bar_chart, speedup_chart
 from repro.analysis.export import csv_to_rows, experiment_to_csv
-from repro.analysis.regress import RegressionFinding, compare_matrices
-from repro.analysis.report import markdown_report
 
 __all__ = [
-    "RegressionFinding",
     "bar_chart",
-    "compare_matrices",
     "csv_to_rows",
     "experiment_to_csv",
-    "markdown_report",
     "speedup_chart",
 ]

@@ -79,6 +79,7 @@ import os
 import sys
 from typing import List, Optional
 
+from repro.errors import ConfigError, WorkloadError
 from repro.harness import experiments
 from repro.harness.runner import ENGINE_ORDER, default_engines
 from repro.harness.serialize import result_to_dict, save_matrix
@@ -507,7 +508,7 @@ def _cmd_run(args) -> int:
 def _cmd_chaos(args) -> int:
     import json
 
-    from repro.errors import ConfigError, FaultError
+    from repro.errors import FaultError
     from repro.faults import (
         BufferStorm,
         FaultSchedule,
@@ -605,7 +606,6 @@ def _cmd_checkpoint(args) -> int:
     from repro.art.validate import validate_tree
     from repro.core.accelerator import DcartAccelerator
     from repro.durability import DurabilityManager
-    from repro.errors import ConfigError
     from repro.harness import resilience
 
     n_keys = args.keys if args.keys is not None else resilience.DEFAULT_KEYS
@@ -760,7 +760,6 @@ SERVE_DEFAULT_LOADS = (0.25, 0.5, 0.75, 1.0, 1.5)
 def _cmd_serve(args) -> int:
     import tempfile
 
-    from repro.errors import ConfigError
     from repro.faults import FaultSchedule
     from repro.faults.schedule import CrashFault
     from repro.harness import resilience
@@ -898,7 +897,7 @@ def _cmd_serve(args) -> int:
 
 def _cmd_cluster(args) -> int:
     from repro.cluster import ClusterConfig, ClusterCoordinator
-    from repro.errors import ConfigError, FaultError
+    from repro.errors import FaultError
     from repro.faults import FaultSchedule, ReplicationLinkSlowdown
     from repro.harness import resilience
 
@@ -1047,7 +1046,6 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from repro.errors import ConfigError
     from repro.harness import benchmarking
 
     engines = args.engines or list(benchmarking.DEFAULT_BENCH_ENGINES)
@@ -1088,7 +1086,6 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
-    from repro.errors import ConfigError
     from repro.experiments import campaign as campaign_mod
     from repro.experiments import report as report_mod
     from repro.experiments.spec import load_spec
@@ -1189,6 +1186,24 @@ def _cmd_lint(args) -> int:
     )
 
 
+_COMMANDS = {
+    "figures": _cmd_figures,
+    "run": _cmd_run,
+    "workload": _cmd_workload,
+    "chaos": _cmd_chaos,
+    "checkpoint": _cmd_checkpoint,
+    "recover": _cmd_recover,
+    "sweep": _cmd_sweep,
+    "serve": _cmd_serve,
+    "cluster": _cmd_cluster,
+    "trace": _cmd_trace,
+    "stats": _cmd_stats,
+    "bench": _cmd_bench,
+    "campaign": _cmd_campaign,
+    "lint": _cmd_lint,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.log_level is not None:
@@ -1199,35 +1214,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         except ValueError as exc:
             print(f"repro: {exc}", file=sys.stderr)
             return 2
-    if args.command == "figures":
-        return _cmd_figures(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "workload":
-        return _cmd_workload(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
-    if args.command == "checkpoint":
-        return _cmd_checkpoint(args)
-    if args.command == "recover":
-        return _cmd_recover(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "cluster":
-        return _cmd_cluster(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "stats":
-        return _cmd_stats(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "campaign":
-        return _cmd_campaign(args)
-    if args.command == "lint":
-        return _cmd_lint(args)
-    return 2  # pragma: no cover - argparse enforces the choices
+    try:
+        return _COMMANDS[args.command](args)
+    except (ConfigError, WorkloadError) as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

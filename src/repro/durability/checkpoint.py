@@ -31,12 +31,11 @@ import hashlib
 import json
 import os
 import struct
-import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.art.tree import AdaptiveRadixTree
-from repro.durability.wal import _FRAME, decode_value, encode_value, frame
+from repro.durability.wal import decode_value, encode_value, frame, iter_frames
 from repro.errors import SimulatedCrash, SimulationError
 from repro.log import get_logger
 
@@ -120,22 +119,12 @@ def parse_payload(data: bytes) -> Tuple[int, List[Tuple[bytes, object]], Dict]:
     Raises :class:`SimulationError` on any framing/CRC/structure damage —
     the caller (recovery) treats that as "this checkpoint is corrupt".
     """
-    offset = 0
     batch_index: Optional[int] = None
     declared_keys = 0
     items: List[Tuple[bytes, object]] = []
     accel_state: Dict = {}
     saw_accel = False
-    while offset < len(data):
-        if offset + _FRAME.size > len(data):
-            raise SimulationError("checkpoint payload truncated mid-frame")
-        length, crc = _FRAME.unpack_from(data, offset)
-        start = offset + _FRAME.size
-        if start + length > len(data):
-            raise SimulationError("checkpoint record overruns payload")
-        payload = data[start : start + length]
-        if zlib.crc32(payload) != crc:
-            raise SimulationError("checkpoint record CRC mismatch")
+    for _, payload in iter_frames(data):
         kind = payload[0]
         if kind == REC_CKPT_HEADER:
             version, batch_index, declared_keys = struct.unpack_from(
@@ -153,7 +142,6 @@ def parse_payload(data: bytes) -> Tuple[int, List[Tuple[bytes, object]], Dict]:
             saw_accel = True
         else:
             raise SimulationError(f"unknown checkpoint record kind {kind}")
-        offset = start + length
     if batch_index is None:
         raise SimulationError("checkpoint payload has no header record")
     if len(items) != declared_keys:

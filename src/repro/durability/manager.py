@@ -35,12 +35,7 @@ from typing import Callable, Dict, List, NoReturn, Optional
 from repro.art.tree import AdaptiveRadixTree
 from repro.durability import checkpoint as ckpt
 from repro.durability.recover import WAL_FILENAME
-from repro.durability.wal import (
-    CommitRecord,
-    WriteAheadLog,
-    is_loggable,
-    op_record,
-)
+from repro.durability.wal import WriteAheadLog, group_frames, is_loggable
 from repro.errors import ConfigError, SimulatedCrash
 from repro.log import get_logger
 from repro.model.costs import DEFAULT_DURABILITY_COSTS, DurabilityCosts
@@ -155,45 +150,38 @@ class DurabilityManager:
     def _crash_in_group(
         self, wal: WriteAheadLog, batch_index: int, mutating: List[Operation]
     ) -> NoReturn:
-        """Die at the armed WAL crash point, record by record.
+        """Die at the armed WAL crash point.
 
-        The group goes out one record at a time so the kill lands after
-        exactly the bytes the crash point promises.
+        Only the bytes the crash point promises reach the log: a prefix
+        of the batch's group, possibly ending mid-frame.
         """
-        armed = self._armed_point
-        wal.begin_batch(batch_index)
+        armed, detail = self._armed_point, self._armed_detail
+        self._disarm()
+        frames = group_frames(batch_index, mutating)
         if armed == CRASH_WAL_MID_APPEND:
-            # Append a prefix of the group, then die mid-record.
-            keep_ops = self._armed_detail % len(mutating)
-            for op in mutating[:keep_ops]:
-                wal.log_op(op)
-            torn = op_record(mutating[keep_ops])
-            kept = wal.append_torn(torn, keep_bytes=4 + self._armed_detail % 7)
-            self._disarm()
-            wal.abandon_batch()
+            # BEGIN and a prefix of the ops, then die mid-record.
+            keep_ops = detail % len(mutating)
+            torn = _torn(frames[1 + keep_ops], 4 + detail % 7)
+            wal.write_torn(b"".join(frames[: 1 + keep_ops]) + torn)
             raise SimulatedCrash(
                 f"crash mid-WAL-append in batch {batch_index}",
                 {"point": CRASH_WAL_MID_APPEND, "batch": batch_index,
-                 "ops_appended": keep_ops, "torn_record_bytes": kept},
+                 "ops_appended": keep_ops, "torn_record_bytes": len(torn)},
             )
-        for op in mutating:
-            wal.log_op(op)
+        group = b"".join(frames[:-1])
         if armed == CRASH_WAL_PRE_COMMIT:
-            self._disarm()
-            wal.abandon_batch()
+            wal.write_torn(group)
             raise SimulatedCrash(
                 f"crash before COMMIT of batch {batch_index}",
                 {"point": CRASH_WAL_PRE_COMMIT, "batch": batch_index,
                  "ops_appended": len(mutating)},
             )
-        commit = CommitRecord(batch_index, len(mutating))
-        kept = wal.append_torn(commit, keep_bytes=5 + self._armed_detail % 4)
-        self._disarm()
-        wal.abandon_batch()
+        torn = _torn(frames[-1], 5 + detail % 4)
+        wal.write_torn(group + torn)
         raise SimulatedCrash(
             f"crash mid-COMMIT of batch {batch_index}",
             {"point": CRASH_WAL_TORN_COMMIT, "batch": batch_index,
-             "torn_record_bytes": kept},
+             "torn_record_bytes": len(torn)},
         )
 
     def maybe_checkpoint(
@@ -278,6 +266,11 @@ class DurabilityManager:
                 registry.gauge(name, value)
             else:
                 registry.counter(name, value)
+
+
+def _torn(raw: bytes, keep: int) -> bytes:
+    """The prefix of frame ``raw`` a kill mid-write leaves: never all of it."""
+    return raw[: max(1, min(keep, len(raw) - 1))]
 
 
 def accelerator_state(shortcuts, tables) -> Dict:

@@ -19,20 +19,31 @@ On-disk format (little-endian)::
     COMMIT (kind 3) := u32 batch_index | u32 n_ops
 
 Values use a small tagged codec (None/bool/int/float/bytes/str) so the
-log is self-describing without pickle.  Torn-write detection is purely
-local: a record whose header is short, whose length overruns the file,
-or whose CRC mismatches ends the scan — everything before it is intact
-(appends never rewrite earlier bytes), everything from it on is the torn
-tail.
+log is self-describing without pickle.
 
-Every record is billed through
+This module is the only one that knows the frame format:
+
+* **One encoder** — :func:`group_frames` builds a batch's framed
+  ``BEGIN / op* / COMMIT`` group.  The writer's group commit, the
+  crash points' torn writes and the replication stream
+  (:func:`encode_batch_frames`) all emit its bytes.
+* **One reader** — :func:`iter_frames` walks a framed buffer and raises
+  :class:`TornFrame` at the first frame that is short, overruns the
+  buffer or fails its CRC.  Torn-write detection is purely local:
+  appends never rewrite earlier bytes, so everything before that frame
+  is intact.  :func:`scan_wal` turns the tear into the log's torn tail;
+  :func:`decode_frames` and the checkpoint payload parser treat it as
+  corruption.
+* **One writer** — :meth:`WriteAheadLog.commit_group` appends a batch's
+  group in one write and crosses its fsync point;
+  :meth:`WriteAheadLog.write_torn` is the crash-injection hook that
+  writes only the bytes a crash point lets reach the disk.
+
+Every committed record is billed through
 :class:`~repro.model.costs.DurabilityCosts`, one term per record in
 record order; a COMMIT is an fsync point (the batch's durability
 barrier), modelled — and optionally executed with a real ``os.fsync`` —
-by :meth:`WriteAheadLog.sync`.  :func:`group_frames` is the one encoder
-of a batch's record group: the replication stream
-(:func:`encode_batch_frames`) and the writer's group commit
-(:meth:`WriteAheadLog.commit_group`) both emit its bytes.
+by :meth:`WriteAheadLog.sync`.
 """
 
 from __future__ import annotations
@@ -176,23 +187,35 @@ def frame(payload: bytes) -> bytes:
     return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
 
 
-def _op_payload(kind: OpKind, op_id: int, key: bytes, value: object) -> bytes:
-    return (
-        _OP_HEAD.pack(REC_OP, _OP_TO_CODE[kind], op_id, len(key))
-        + key
-        + encode_value(value)
-    )
+class TornFrame(SimulationError):
+    """The first bad frame of a framed stream: where it starts and why."""
+
+    def __init__(self, offset: int, reason: str):
+        super().__init__(f"{reason} at byte {offset}")
+        self.offset = offset
+        self.reason = reason
 
 
-def encode_record(record: WalRecord) -> bytes:
-    """Serialise one record payload (unframed)."""
-    if isinstance(record, BeginRecord):
-        return _BEGIN.pack(REC_BEGIN, record.batch)
-    if isinstance(record, OpRecord):
-        return _op_payload(record.op_kind, record.op_id, record.key, record.value)
-    if isinstance(record, CommitRecord):
-        return _COMMIT.pack(REC_COMMIT, record.batch, record.n_ops)
-    raise SimulationError(f"unknown WAL record {record!r}")
+def iter_frames(data: bytes, offset: int = 0) -> Iterator[Tuple[int, bytes]]:
+    """Yield ``(offset, payload)`` for each length+CRC frame in ``data``.
+
+    Raises :class:`TornFrame` at the first frame whose header is short,
+    whose length overruns ``data`` or whose CRC mismatches; every frame
+    yielded before it is intact.
+    """
+    end = len(data)
+    while offset < end:
+        if offset + _FRAME.size > end:
+            raise TornFrame(offset, "short frame header")
+        length, crc = _FRAME.unpack_from(data, offset)
+        start = offset + _FRAME.size
+        if start + length > end:
+            raise TornFrame(offset, "record overruns file")
+        payload = data[start : start + length]
+        if zlib.crc32(payload) != crc:
+            raise TornFrame(offset, "CRC mismatch")
+        yield offset, payload
+        offset = start + length
 
 
 def decode_record(payload: bytes) -> WalRecord:
@@ -218,13 +241,6 @@ def decode_record(payload: bytes) -> WalRecord:
     raise SimulationError(f"unknown WAL record kind {kind}")
 
 
-def op_record(op: Operation) -> OpRecord:
-    """The WAL form of a workload operation (mutating kinds only)."""
-    if op.kind not in _OP_TO_CODE:
-        raise SimulationError(f"op kind {op.kind} is not WAL-loggable")
-    return OpRecord(op.kind, op.op_id, bytes(op.key), op.value)
-
-
 def is_loggable(op: Operation) -> bool:
     """Whether the op mutates the tree (reads/scans are not logged)."""
     return op.kind in _OP_TO_CODE
@@ -233,13 +249,16 @@ def is_loggable(op: Operation) -> bool:
 def group_frames(batch_index: int, mutating: List[Operation]) -> List[bytes]:
     """One batch's framed ``BEGIN / op* / COMMIT`` records, in order.
 
-    ``mutating`` holds only loggable ops.  Each op is packed straight
-    from the workload operation — the bytes :func:`encode_record` gives
-    its :class:`OpRecord`, without building one.
+    ``mutating`` holds only loggable ops; each is packed straight from
+    the workload operation into its OP payload.
     """
     frames = [frame(_BEGIN.pack(REC_BEGIN, batch_index))]
     frames.extend(
-        frame(_op_payload(op.kind, op.op_id, bytes(op.key), op.value))
+        frame(
+            _OP_HEAD.pack(REC_OP, _OP_TO_CODE[op.kind], op.op_id, len(op.key))
+            + bytes(op.key)
+            + encode_value(op.value)
+        )
         for op in mutating
     )
     frames.append(frame(_COMMIT.pack(REC_COMMIT, batch_index, len(mutating))))
@@ -259,35 +278,15 @@ def encode_batch_frames(batch_index: int, operations: List[Operation]) -> bytes:
     return b"".join(group_frames(batch_index, loggable))
 
 
-def decode_frames(data: bytes, offset: int = 0) -> List[WalRecord]:
+def decode_frames(data: bytes) -> List[WalRecord]:
     """Strict decode of a framed record stream held in memory.
 
     Unlike :func:`scan_wal` — which tolerates a torn tail because a
     crash legitimately tears the on-disk log — an in-memory replication
     stream has no torn-write failure mode, so any framing or CRC damage
-    here is an invariant violation and raises
-    :class:`~repro.errors.SimulationError`.
+    here is an invariant violation: :class:`TornFrame` propagates.
     """
-    records: List[WalRecord] = []
-    while offset < len(data):
-        if offset + _FRAME.size > len(data):
-            raise SimulationError(
-                f"replication stream truncated at byte {offset}"
-            )
-        length, crc = _FRAME.unpack_from(data, offset)
-        start = offset + _FRAME.size
-        if start + length > len(data):
-            raise SimulationError(
-                f"replication stream record overruns buffer at byte {offset}"
-            )
-        payload = data[start : start + length]
-        if zlib.crc32(payload) != crc:
-            raise SimulationError(
-                f"replication stream CRC mismatch at byte {offset}"
-            )
-        records.append(decode_record(payload))
-        offset = start + length
-    return records
+    return [decode_record(payload) for _, payload in iter_frames(data)]
 
 
 # ---------------------------------------------------------------------------
@@ -298,17 +297,16 @@ def decode_frames(data: bytes, offset: int = 0) -> List[WalRecord]:
 class WriteAheadLog:
     """Append-only log writer with fsync-point cost accounting.
 
-    A committed batch is one group commit (:meth:`commit_group`): its
-    whole ``BEGIN / op* / COMMIT`` group goes out in one write and one
-    flush before the fsync point.  The per-record protocol
-    (:meth:`begin_batch` / :meth:`log_op` / :meth:`commit_batch`) writes
-    the same bytes one record at a time, flushing after each, so the
-    chaos harness's crash points see exactly the bytes written before
-    the kill.  *Durability* points (what a real device guarantees after
-    power loss) are only the explicit :meth:`sync` calls, billed through
-    the cost model and optionally executed with ``os.fsync``.  Either
-    way each record is billed on its own, in record order, so both paths
-    accumulate bit-identical modelled seconds.
+    Records reach the log one batch at a time through
+    :meth:`commit_group`: the whole ``BEGIN / op* / COMMIT`` group from
+    :func:`group_frames` goes out in one write and one flush, then the
+    batch crosses its fsync point.  *Durability* points (what a real
+    device guarantees after power loss) are only the explicit
+    :meth:`sync` calls, billed through the cost model and optionally
+    executed with ``os.fsync``.  Each record is billed on its own, in
+    record order.  The chaos harness's crash points write through
+    :meth:`write_torn` instead: exactly the bytes that reach the disk
+    before the kill, never billed, counted as records or synced.
     """
 
     def __init__(
@@ -329,33 +327,6 @@ class WriteAheadLog:
         self.records_written = 0
         self.fsyncs = 0
         self.modelled_seconds = 0.0
-        self._open_batch: Optional[int] = None
-
-    # -- raw appends ---------------------------------------------------
-
-    def append(self, record: WalRecord) -> int:
-        """Frame and append one record; returns bytes written."""
-        raw = frame(encode_record(record))
-        self._file.write(raw)
-        self._file.flush()
-        self.bytes_written += len(raw)
-        self.records_written += 1
-        self.modelled_seconds += self.costs.wal_seconds(len(raw))
-        return len(raw)
-
-    def append_torn(self, record: WalRecord, keep_bytes: int) -> int:
-        """Crash-injection hook: write only a prefix of the framed record.
-
-        Models the power cut landing mid-sector: the record's first
-        ``keep_bytes`` bytes reach the platter, the rest never do.  The
-        scanner must detect the tail via length/CRC and skip it.
-        """
-        raw = frame(encode_record(record))
-        keep = max(1, min(keep_bytes, len(raw) - 1))
-        self._file.write(raw[:keep])
-        self._file.flush()
-        self.bytes_written += keep
-        return keep
 
     def sync(self) -> None:
         """Cross an fsync point (durability barrier)."""
@@ -365,39 +336,15 @@ class WriteAheadLog:
         self.fsyncs += 1
         self.modelled_seconds += self.costs.wal_seconds(0, n_fsyncs=1)
 
-    # -- batch protocol ------------------------------------------------
-
-    def begin_batch(self, batch_index: int) -> None:
-        if self._open_batch is not None:
-            raise SimulationError(
-                f"batch {self._open_batch} still open; WAL batches do not nest"
-            )
-        self._open_batch = batch_index
-        self.append(BeginRecord(batch_index))
-
-    def log_op(self, op: Operation) -> None:
-        if self._open_batch is None:
-            raise SimulationError("log_op outside a WAL batch")
-        self.append(op_record(op))
-
     def commit_group(self, batch_index: int, mutating: List[Operation]) -> None:
-        """Append a batch's whole record group in one write, then sync.
-
-        Equivalent to ``begin_batch`` / ``log_op`` per op /
-        ``commit_batch`` — same bytes, counters and modelled seconds —
-        at one write and one flush per batch.
-        """
-        if self._open_batch is not None:
-            raise SimulationError(
-                f"batch {self._open_batch} still open; WAL batches do not nest"
-            )
+        """Append a batch's whole record group in one write, then sync."""
         frames = group_frames(batch_index, mutating)
         data = b"".join(frames)
         self._file.write(data)
         self.bytes_written += len(data)
         self.records_written += len(frames)
         # Bill record by record: float addition is not associative, so
-        # one summed length would drift from the per-record path.
+        # one summed length would drift from per-record billing.
         seconds = self.modelled_seconds
         wal_seconds = self.costs.wal_seconds
         for raw in frames:
@@ -405,17 +352,16 @@ class WriteAheadLog:
         self.modelled_seconds = seconds
         self.sync()
 
-    def commit_batch(self, n_ops: int) -> None:
-        """Append COMMIT and cross the batch's fsync point."""
-        if self._open_batch is None:
-            raise SimulationError("commit without an open WAL batch")
-        self.append(CommitRecord(self._open_batch, n_ops))
-        self.sync()
-        self._open_batch = None
+    def write_torn(self, data: bytes) -> None:
+        """Crash-injection hook: write the bytes that beat the kill.
 
-    def abandon_batch(self) -> None:
-        """Forget the open batch without committing (crash paths)."""
-        self._open_batch = None
+        Models a power cut mid-group: ``data`` (a group prefix, possibly
+        ending mid-frame) reaches the platter, nothing after it does.
+        The scanner must detect the tail via length/CRC and skip it.
+        """
+        self._file.write(data)
+        self._file.flush()
+        self.bytes_written += len(data)
 
     def close(self) -> None:
         if not self._file.closed:
@@ -490,7 +436,6 @@ def scan_wal(path: str) -> WalScan:
         data = handle.read()
     scan.bytes_scanned = len(data)
 
-    offset = len(FILE_HEADER)
     if data[: len(WAL_MAGIC)] != WAL_MAGIC:
         scan.torn = True
         scan.torn_offset = 0
@@ -499,68 +444,44 @@ def scan_wal(path: str) -> WalScan:
 
     open_batch: Optional[int] = None
     open_ops: List[OpRecord] = []
-    while offset < len(data):
-        if offset + _FRAME.size > len(data):
-            scan.torn = True
-            scan.torn_offset = offset
-            scan.torn_reason = "short frame header"
-            break
-        length, crc = _FRAME.unpack_from(data, offset)
-        start = offset + _FRAME.size
-        if start + length > len(data):
-            scan.torn = True
-            scan.torn_offset = offset
-            scan.torn_reason = "record overruns file"
-            break
-        payload = data[start : start + length]
-        if zlib.crc32(payload) != crc:
-            scan.torn = True
-            scan.torn_offset = offset
-            scan.torn_reason = "CRC mismatch"
-            break
-        try:
-            record = decode_record(payload)
-        except (SimulationError, struct.error, IndexError) as exc:
-            scan.torn = True
-            scan.torn_offset = offset
-            scan.torn_reason = f"undecodable record: {exc}"
-            break
-        offset = start + length
-        scan.records.append(record)
+    try:
+        for offset, payload in iter_frames(data, len(FILE_HEADER)):
+            try:
+                record = decode_record(payload)
+            except (SimulationError, struct.error, IndexError) as exc:
+                raise TornFrame(offset, f"undecodable record: {exc}") from exc
+            scan.records.append(record)
+            after = offset + _FRAME.size + len(payload)
 
-        if isinstance(record, BeginRecord):
-            if open_batch is not None:
-                # A BEGIN inside an open group: the previous group never
-                # committed (crash between batches); discard it.
-                scan.uncommitted.append(open_batch)
-                scan.uncommitted_ops += len(open_ops)
-            open_batch = record.batch
-            open_ops = []
-        elif isinstance(record, OpRecord):
-            if open_batch is None:
-                scan.torn = True
-                scan.torn_offset = offset
-                scan.torn_reason = "op record outside a batch group"
-                break
-            open_ops.append(record)
-        elif isinstance(record, CommitRecord):
-            if open_batch != record.batch or len(open_ops) != record.n_ops:
-                scan.torn = True
-                scan.torn_offset = offset
-                scan.torn_reason = (
-                    f"commit mismatch: group batch={open_batch} "
-                    f"ops={len(open_ops)} vs commit batch={record.batch} "
-                    f"n_ops={record.n_ops}"
-                )
-                break
-            scan.committed[record.batch] = open_ops
-            open_batch = None
-            open_ops = []
+            if isinstance(record, BeginRecord):
+                if open_batch is not None:
+                    # A BEGIN inside an open group: the previous group
+                    # never committed (crash between batches); discard it.
+                    scan.uncommitted.append(open_batch)
+                    scan.uncommitted_ops += len(open_ops)
+                open_batch = record.batch
+                open_ops = []
+            elif isinstance(record, OpRecord):
+                if open_batch is None:
+                    raise TornFrame(after, "op record outside a batch group")
+                open_ops.append(record)
+            elif isinstance(record, CommitRecord):
+                if open_batch != record.batch or len(open_ops) != record.n_ops:
+                    raise TornFrame(
+                        after,
+                        f"commit mismatch: group batch={open_batch} "
+                        f"ops={len(open_ops)} vs commit batch={record.batch} "
+                        f"n_ops={record.n_ops}",
+                    )
+                scan.committed[record.batch] = open_ops
+                open_batch = None
+                open_ops = []
+    except TornFrame as tear:
+        scan.torn = True
+        scan.torn_offset = tear.offset
+        scan.torn_reason = tear.reason
 
-    if open_batch is not None and not scan.torn:
-        scan.uncommitted.append(open_batch)
-        scan.uncommitted_ops += len(open_ops)
-    if scan.torn and open_batch is not None:
+    if open_batch is not None:
         scan.uncommitted.append(open_batch)
         scan.uncommitted_ops += len(open_ops)
     if scan.torn:

@@ -51,11 +51,28 @@ def save_workload(workload: Workload, path_or_file: Union[str, IO]) -> None:
 
 
 def load_workload(path_or_file: Union[str, IO]) -> Workload:
-    """Read a workload written by :func:`save_workload`."""
+    """Read a workload written by :func:`save_workload`.
+
+    Raises :class:`~repro.errors.WorkloadError` for a file that cannot
+    be read or decoded.
+    """
     if isinstance(path_or_file, str):
-        with open(path_or_file) as handle:
-            return load_workload(handle)
-    lines = iter(path_or_file)
+        try:
+            with open(path_or_file) as handle:
+                return load_workload(handle)
+        except OSError as exc:
+            raise WorkloadError(
+                f"cannot read workload file {path_or_file!r}: "
+                f"{exc.strerror or exc}"
+            ) from exc
+    try:
+        return _parse_workload(iter(path_or_file))
+    except (ValueError, KeyError, TypeError) as exc:
+        # Bad JSON, bad UTF-8, bad hex or a record missing a field.
+        raise WorkloadError(f"undecodable workload file: {exc}") from exc
+
+
+def _parse_workload(lines) -> Workload:
     try:
         header = json.loads(next(lines))
     except StopIteration:

@@ -117,15 +117,15 @@ def test_cyc02_catches_discarded_route_billing(scratch):
 
 
 def test_wal01_catches_ledger_advance_before_wal(scratch):
-    # Advance ops_logged before wal.begin_batch(): on a crash between
+    # Advance ops_logged before wal.commit_group(): on a crash between
     # the two, the ledger claims ops the WAL never saw.  The mutation
     # sits before *any* WAL event, so no dominator can excuse it.
     with mutated(
         scratch,
         os.path.join("durability", "manager.py"),
-        "        wal.begin_batch(batch_index)",
+        "        wal.commit_group(batch_index, mutating)",
         "        self.ops_logged += len(mutating)\n"
-        "        wal.begin_batch(batch_index)",
+        "        wal.commit_group(batch_index, mutating)",
     ):
         hits = _findings(scratch, "WAL01", "manager.py")
         # Only the injected write fires; the legitimate post-commit

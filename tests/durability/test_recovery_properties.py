@@ -61,10 +61,7 @@ def test_crash_at_any_wal_offset_recovers_committed_prefix(specs, fraction):
         commit_end = []  # file size right after each batch's COMMIT
         with WriteAheadLog(path) as wal:
             for batch_index, batch in enumerate(batches):
-                wal.begin_batch(batch_index)
-                for op in batch:
-                    wal.log_op(op)
-                wal.commit_batch(len(batch))
+                wal.commit_group(batch_index, batch)
                 commit_end.append(wal.bytes_written)
 
         # Record every frame boundary of the intact log (for the torn

@@ -14,15 +14,16 @@ from repro.durability.wal import (
     BeginRecord,
     CommitRecord,
     OpRecord,
+    TornFrame,
     WriteAheadLog,
+    decode_frames,
     decode_record,
     decode_value,
     encode_batch_frames,
-    encode_record,
     encode_value,
     frame,
+    group_frames,
     is_loggable,
-    op_record,
     scan_wal,
 )
 from repro.errors import SimulationError
@@ -36,6 +37,79 @@ def write_op(op_id, key, value=None):
 
 def delete_op(op_id, key):
     return Operation(op_id=op_id, kind=OpKind.DELETE, key=key)
+
+
+# ---------------------------------------------------------------------------
+# readable reference encoders the fast writer must equal
+# ---------------------------------------------------------------------------
+
+
+def reference_encode_value(value):
+    """The readable tagged codec the fast ``encode_value`` must equal."""
+    if value is None:
+        return bytes([0])
+    if value is False:
+        return bytes([1])
+    if value is True:
+        return bytes([2])
+    if isinstance(value, int):
+        raw = value.to_bytes((value.bit_length() + 8) // 8 or 1, "big", signed=True)
+        return bytes([3]) + struct.pack("<H", len(raw)) + raw
+    if isinstance(value, float):
+        return bytes([4]) + struct.pack("<d", value)
+    if isinstance(value, bytes):
+        return bytes([5]) + struct.pack("<I", len(value)) + value
+    raw = value.encode("utf-8")
+    return bytes([6]) + struct.pack("<I", len(raw)) + raw
+
+
+def reference_payload(record):
+    """One record's unframed payload, spelled out from the format."""
+    if isinstance(record, BeginRecord):
+        return struct.pack("<BI", 1, record.batch)
+    if isinstance(record, OpRecord):
+        code = {OpKind.WRITE: 1, OpKind.DELETE: 2}[record.op_kind]
+        return (
+            struct.pack("<BBQH", 2, code, record.op_id, len(record.key))
+            + record.key
+            + reference_encode_value(record.value)
+        )
+    return struct.pack("<BII", 3, record.batch, record.n_ops)
+
+
+def reference_frame(record):
+    payload = reference_payload(record)
+    return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+
+
+class ReferenceLog:
+    """The per-record writer group commit must equal, byte for byte.
+
+    Frames each record, bills ``wal_seconds(len)`` per record in record
+    order, and adds one fsync term per batch.
+    """
+
+    def __init__(self, costs):
+        self.costs = costs
+        self.data = bytearray(FILE_HEADER)
+        self.records = 0
+        self.fsyncs = 0
+        self.seconds = 0.0
+
+    def commit(self, batch_index, mutating):
+        records = [
+            BeginRecord(batch_index),
+            *(OpRecord(op.kind, op.op_id, bytes(op.key), op.value)
+              for op in mutating),
+            CommitRecord(batch_index, len(mutating)),
+        ]
+        for record in records:
+            raw = reference_frame(record)
+            self.data += raw
+            self.records += 1
+            self.seconds += self.costs.wal_seconds(len(raw))
+        self.fsyncs += 1
+        self.seconds += self.costs.wal_seconds(0, n_fsyncs=1)
 
 
 class TestValueCodec:
@@ -72,19 +146,16 @@ class TestRecordCodec:
         ],
     )
     def test_round_trip(self, record):
-        assert decode_record(encode_record(record)) == record
+        assert decode_record(reference_payload(record)) == record
 
     def test_frame_carries_crc(self):
-        raw = frame(encode_record(BeginRecord(1)))
+        raw = frame(reference_payload(BeginRecord(1)))
         length, crc = struct.unpack_from("<II", raw, 0)
         assert length == len(raw) - 8
         assert crc == zlib.crc32(raw[8:])
 
-    def test_op_record_rejects_reads(self):
-        read = Operation(op_id=1, kind=OpKind.READ, key=b"k")
-        assert not is_loggable(read)
-        with pytest.raises(SimulationError):
-            op_record(read)
+    def test_only_mutating_ops_are_loggable(self):
+        assert not is_loggable(Operation(op_id=1, kind=OpKind.READ, key=b"k"))
         assert is_loggable(write_op(1, b"k"))
         assert is_loggable(delete_op(1, b"k"))
 
@@ -94,13 +165,8 @@ class TestBatchProtocol:
         path = str(tmp_path / "wal.log")
         ops = [write_op(0, b"a", 1), delete_op(1, b"b"), write_op(2, b"c", "v")]
         with WriteAheadLog(path) as wal:
-            wal.begin_batch(0)
-            for op in ops:
-                wal.log_op(op)
-            wal.commit_batch(len(ops))
-            wal.begin_batch(1)
-            wal.log_op(write_op(3, b"d", None))
-            wal.commit_batch(1)
+            wal.commit_group(0, ops)
+            wal.commit_group(1, [write_op(3, b"d", None)])
 
         scan = scan_wal(path)
         assert not scan.torn
@@ -116,39 +182,29 @@ class TestBatchProtocol:
     def test_reopen_appends_after_existing_records(self, tmp_path):
         path = str(tmp_path / "wal.log")
         with WriteAheadLog(path) as wal:
-            wal.begin_batch(0)
-            wal.log_op(write_op(0, b"a", 1))
-            wal.commit_batch(1)
+            wal.commit_group(0, [write_op(0, b"a", 1)])
         with WriteAheadLog(path) as wal:
-            wal.begin_batch(1)
-            wal.log_op(write_op(1, b"b", 2))
-            wal.commit_batch(1)
+            wal.commit_group(1, [write_op(1, b"b", 2)])
         with open(path, "rb") as handle:
             data = handle.read()
         assert data.count(FILE_HEADER[:4]) == 1  # one magic, not two
         scan = scan_wal(path)
         assert sorted(scan.committed) == [0, 1]
 
-    def test_nesting_and_stray_calls_raise(self, tmp_path):
-        wal = WriteAheadLog(str(tmp_path / "wal.log"))
-        with pytest.raises(SimulationError):
-            wal.log_op(write_op(0, b"a"))
-        with pytest.raises(SimulationError):
-            wal.commit_batch(0)
-        wal.begin_batch(0)
-        with pytest.raises(SimulationError):
-            wal.begin_batch(1)
-        wal.abandon_batch()
-        wal.close()
-
     def test_costs_accumulate(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path / "wal.log"))
-        wal.begin_batch(0)
-        wal.log_op(write_op(0, b"a", b"x" * 100))
-        wal.commit_batch(1)
+        wal.commit_group(0, [write_op(0, b"a", b"x" * 100)])
         assert wal.records_written == 3
         assert wal.fsyncs == 1
         assert wal.modelled_seconds > 0.0
+        wal.close()
+
+    def test_torn_write_is_never_billed(self, tmp_path):
+        wal = WriteAheadLog(str(tmp_path / "wal.log"))
+        wal.write_torn(b"".join(group_frames(0, [write_op(0, b"a", 1)]))[:-3])
+        assert wal.bytes_written > len(FILE_HEADER)
+        assert (wal.records_written, wal.fsyncs) == (0, 0)
+        assert wal.modelled_seconds == 0.0
         wal.close()
 
 
@@ -157,9 +213,7 @@ class TestTornDetection:
         path = str(tmp_path / "wal.log")
         wal = WriteAheadLog(path)
         for batch in range(n_batches):
-            wal.begin_batch(batch)
-            wal.log_op(write_op(batch, bytes([batch]), batch))
-            wal.commit_batch(1)
+            wal.commit_group(batch, [write_op(batch, bytes([batch]), batch)])
         return path, wal
 
     def test_missing_file_scans_empty(self, tmp_path):
@@ -170,8 +224,8 @@ class TestTornDetection:
 
     def test_torn_record_ends_scan_keeps_prefix(self, tmp_path):
         path, wal = self.make_wal(tmp_path)
-        wal.begin_batch(3)
-        wal.append_torn(op_record(write_op(9, b"torn", "x")), keep_bytes=5)
+        begin, op, _ = group_frames(3, [write_op(9, b"torn", "x")])
+        wal.write_torn(begin + op[:5])
         wal.close()
         scan = scan_wal(path)
         assert scan.torn
@@ -196,8 +250,8 @@ class TestTornDetection:
 
     def test_uncommitted_group_is_reported_not_committed(self, tmp_path):
         path, wal = self.make_wal(tmp_path, n_batches=1)
-        wal.begin_batch(1)
-        wal.log_op(write_op(5, b"u", 1))
+        begin, op, _ = group_frames(1, [write_op(5, b"u", 1)])
+        wal.write_torn(begin + op)
         wal.close()  # no COMMIT
         scan = scan_wal(path)
         assert not scan.torn
@@ -207,9 +261,9 @@ class TestTornDetection:
 
     def test_commit_mismatch_ends_scan(self, tmp_path):
         path, wal = self.make_wal(tmp_path, n_batches=1)
-        wal.begin_batch(1)
-        wal.log_op(write_op(5, b"u", 1))
-        wal.append(CommitRecord(1, 99))  # lies about the op count
+        begin, op, _ = group_frames(1, [write_op(5, b"u", 1)])
+        # The COMMIT lies about the op count.
+        wal.write_torn(begin + op + frame(reference_payload(CommitRecord(1, 99))))
         wal.close()
         scan = scan_wal(path)
         assert scan.torn
@@ -227,27 +281,8 @@ class TestTornDetection:
 
 
 # ---------------------------------------------------------------------------
-# group commit: byte and billing identity with the per-record path
+# group commit: byte and billing identity with the per-record reference
 # ---------------------------------------------------------------------------
-
-
-def reference_encode_value(value):
-    """The readable tagged codec the fast ``encode_value`` must equal."""
-    if value is None:
-        return bytes([0])
-    if value is False:
-        return bytes([1])
-    if value is True:
-        return bytes([2])
-    if isinstance(value, int):
-        raw = value.to_bytes((value.bit_length() + 8) // 8 or 1, "big", signed=True)
-        return bytes([3]) + struct.pack("<H", len(raw)) + raw
-    if isinstance(value, float):
-        return bytes([4]) + struct.pack("<d", value)
-    if isinstance(value, bytes):
-        return bytes([5]) + struct.pack("<I", len(value)) + value
-    raw = value.encode("utf-8")
-    return bytes([6]) + struct.pack("<I", len(raw)) + raw
 
 
 payload_values = st.one_of(
@@ -300,37 +335,97 @@ cost_models = st.sampled_from(
 @settings(max_examples=80, deadline=None)
 def test_group_commit_is_byte_and_billing_identical(specs, batch_size, costs):
     batches = to_batches(specs, batch_size)
+    reference = ReferenceLog(costs)
     with tempfile.TemporaryDirectory(prefix="dcart-wal-") as directory:
-        group_path = os.path.join(directory, "group.log")
-        record_path = os.path.join(directory, "record.log")
-        with WriteAheadLog(group_path, costs) as group, \
-                WriteAheadLog(record_path, costs) as per_record:
+        path = os.path.join(directory, "group.log")
+        with WriteAheadLog(path, costs) as group:
             for batch_index, batch in enumerate(batches):
                 mutating = [op for op in batch if is_loggable(op)]
                 group.commit_group(batch_index, mutating)
-                per_record.begin_batch(batch_index)
-                for op in mutating:
-                    per_record.log_op(op)
-                per_record.commit_batch(len(mutating))
-        with open(group_path, "rb") as handle:
+                reference.commit(batch_index, mutating)
+        with open(path, "rb") as handle:
             group_bytes = handle.read()
-        with open(record_path, "rb") as handle:
-            record_bytes = handle.read()
 
     shipped = FILE_HEADER + b"".join(
         encode_batch_frames(batch_index, batch)
         for batch_index, batch in enumerate(batches)
     )
-    assert group_bytes == record_bytes == shipped
+    assert group_bytes == bytes(reference.data) == shipped
     # Exact equality: the group commit bills record by record, in order.
-    assert group.modelled_seconds == per_record.modelled_seconds
-    assert group.bytes_written == per_record.bytes_written == len(shipped)
-    assert group.records_written == per_record.records_written
-    assert group.fsyncs == per_record.fsyncs == len(batches)
+    assert group.modelled_seconds == reference.seconds
+    assert group.bytes_written == len(shipped)
+    assert group.records_written == reference.records
+    assert group.fsyncs == reference.fsyncs == len(batches)
 
 
-def test_group_commit_refuses_an_open_batch(tmp_path):
-    with WriteAheadLog(str(tmp_path / "wal.log")) as wal:
-        wal.begin_batch(0)
-        with pytest.raises(SimulationError):
-            wal.commit_group(1, [write_op(0, b"a", 1)])
+# ---------------------------------------------------------------------------
+# one frame reader: the strict and the tolerant decoder agree on tears
+# ---------------------------------------------------------------------------
+
+FRAMING_REASONS = ("short frame header", "record overruns file", "CRC mismatch")
+
+
+@given(
+    specs=op_lists,
+    batch_size=st.integers(min_value=1, max_value=9),
+    damage=st.one_of(
+        st.tuples(st.just("truncate"), st.floats(min_value=0.0, max_value=1.0)),
+        st.tuples(st.just("flip"), st.floats(min_value=0.0, max_value=1.0),
+                  st.integers(min_value=0, max_value=7)),
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_strict_and_tolerant_readers_agree_on_framing_tears(
+    specs, batch_size, damage
+):
+    stream = bytearray(b"".join(
+        encode_batch_frames(batch_index, batch)
+        for batch_index, batch in enumerate(to_batches(specs, batch_size))
+    ))
+    # Frame start offsets of the intact stream, read from the length
+    # fields directly: the oracle for where a tear must be reported.
+    starts = [0]
+    while starts[-1] < len(stream):
+        (length,) = struct.unpack_from("<I", stream, starts[-1])
+        starts.append(starts[-1] + 8 + length)
+    position = min(len(stream), int(damage[1] * len(stream)))
+    if damage[0] == "truncate":
+        torn = position not in starts
+        del stream[position:]
+    else:
+        torn = position < len(stream)
+        if torn:
+            stream[position] ^= 1 << damage[2]
+    stream = bytes(stream)
+
+    try:
+        decode_frames(stream)
+        strict = None
+    except TornFrame as tear:
+        strict = (tear.offset + len(FILE_HEADER), tear.reason)
+
+    with tempfile.TemporaryDirectory(prefix="dcart-wal-") as directory:
+        path = os.path.join(directory, "wal.log")
+        with open(path, "wb") as handle:
+            handle.write(FILE_HEADER + stream)
+        scan = scan_wal(path)
+    tolerant = (
+        (scan.torn_offset, scan.torn_reason)
+        if scan.torn and scan.torn_reason in FRAMING_REASONS
+        else None
+    )
+    assert strict == tolerant
+    if torn:
+        # The tear starts at the frame holding the damaged byte.
+        damaged = max(start for start in starts if start <= position)
+        assert strict is not None
+        assert strict[0] == len(FILE_HEADER) + damaged
+        if damage[0] == "truncate":
+            assert strict[1] == (
+                "short frame header" if position - damaged < 8
+                else "record overruns file"
+            )
+        elif position - damaged >= 4:  # a CRC or payload bit
+            assert strict[1] == "CRC mismatch"
+    else:
+        assert strict is None

@@ -588,3 +588,32 @@ class TestBenchCorruptTrajectory:
         captured = capsys.readouterr()
         assert "not valid JSON" in captured.err
         assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["run", "--engine", "DCART", "--keys", "0"], id="run-keys"),
+        pytest.param(["run", "--engine", "DCART", "--ops", "-5"], id="run-ops"),
+        pytest.param(["run", "--engine", "DCART", "--write-ratio", "2"],
+                     id="run-write-ratio"),
+        pytest.param(["workload", "--name", "IPGEO", "--keys", "-1",
+                      "--out", "{tmp}/x"], id="workload-keys"),
+        pytest.param(["trace", "IPGEO", "--keys", "0"], id="trace-keys"),
+        pytest.param(["stats", "--keys", "0"], id="stats-keys"),
+        pytest.param(["sweep", "--jobs", "0"], id="sweep-jobs"),
+        pytest.param(["bench", "--quick", "--repeats", "0"], id="bench-repeats"),
+        pytest.param(["run", "--engine", "DCART", "--replay", "{tmp}/absent"],
+                     id="replay-missing-file"),
+        pytest.param(["run", "--engine", "DCART", "--replay",
+                      "{tmp}/not-json.jsonl"], id="replay-not-json"),
+    ],
+)
+def test_bad_input_is_one_line_and_exit_2(argv, capsys, tmp_path):
+    (tmp_path / "not-json.jsonl").write_text("not json\n")
+    code = main([arg.format(tmp=tmp_path) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1, err
+    assert err.startswith(f"repro {argv[0]}: ")
+    assert "Traceback" not in err
