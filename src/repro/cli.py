@@ -77,7 +77,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import List, NoReturn, Optional
 
 from repro.errors import ConfigError, WorkloadError
 from repro.harness import experiments
@@ -104,8 +104,20 @@ FIGURES = {
     "ablation": experiments.ablation,
 }
 
+
+class _Parser(argparse.ArgumentParser):
+    """Rejects bad arguments with one ``<prog>: error: ...`` line, exit 2.
+
+    Subcommand parsers inherit the class, so ``repro run --engine x``
+    prints ``repro run: error: ...`` without the usage block.
+    """
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro", description="DCART (DAC 2025) reproduction harness"
     )
     parser.add_argument(
@@ -514,6 +526,7 @@ def _cmd_chaos(args) -> int:
         FaultSchedule,
         HbmThrottle,
         ShortcutCorruption,
+        mid_run_batch,
     )
     from repro.harness import resilience
 
@@ -546,7 +559,7 @@ def _cmd_chaos(args) -> int:
 
     config = resilience.chaos_config(n_keys)
     n_batches = -(-n_ops // config.batch_size)
-    mid = min(max(1, n_batches // 2), n_batches - 1)
+    mid = mid_run_batch(n_batches)
     try:
         events = list(
             FaultSchedule.fail_sous(
@@ -1093,65 +1106,57 @@ def _cmd_campaign(args) -> int:
     from repro.harness import benchmarking
 
     # Spec problems (missing file, bad TOML, unknown engine) and store
-    # problems (version skew, corrupt payload) are configuration errors:
-    # one line on stderr, exit 2.
-    try:
-        spec = load_spec(args.spec)
-    except ConfigError as exc:
-        print(f"campaign: {exc}", file=sys.stderr)
-        return 2
+    # problems (version skew, corrupt payload) raise ConfigError, which
+    # main() reports as one line on stderr with exit 2.
+    spec = load_spec(args.spec)
     if args.no_stamp:
         sha, created = "unstamped", ""
     else:
         sha, created = benchmarking.git_sha(), benchmarking.utc_stamp()
-    try:
-        with ResultStore(args.store or default_store_path()) as store:
-            if args.action == "run":
-                summary = campaign_mod.run_campaign(
-                    spec, store, git_sha=sha, mode=args.mode,
-                    jobs=args.jobs, created_at=created,
-                )
-                print(
-                    f"campaign {spec.name} [{summary['spec_hash']}] "
-                    f"mode={args.mode}: {summary['total']} cells - "
-                    f"{summary['reused']} reused, {summary['ran']} ran, "
-                    f"{summary['failed']} failed"
-                )
-                if args.json:
-                    _emit_json(summary, args.json)
-                return 1 if summary["failed"] else 0
-            if args.action == "status":
-                status = campaign_mod.campaign_status(
-                    spec, store, git_sha=sha, mode=args.mode
-                )
-                print(
-                    f"campaign {spec.name} [{status['spec_hash']}] "
-                    f"mode={args.mode}: {status['ok']}/{status['total']} ok, "
-                    f"{status['error']} failed, {status['pending']} pending"
-                )
-                if args.json:
-                    _emit_json(status, args.json)
-                return 0 if status["complete"] else 1
-            doc = report_mod.build_report(
-                spec, store, git_sha=sha, mode=args.mode, created_at=created
+    with ResultStore(args.store or default_store_path()) as store:
+        if args.action == "run":
+            summary = campaign_mod.run_campaign(
+                spec, store, git_sha=sha, mode=args.mode,
+                jobs=args.jobs, created_at=created,
             )
-            markdown = report_mod.render_markdown(doc)
-            if args.md:
-                with open(args.md, "w") as handle:
-                    handle.write(markdown)
-                print(f"wrote Markdown report to {args.md}")
-            else:
-                print(markdown, end="")
-            if args.html:
-                with open(args.html, "w") as handle:
-                    handle.write(report_mod.render_html(doc))
-                print(f"wrote HTML report to {args.html}")
+            print(
+                f"campaign {spec.name} [{summary['spec_hash']}] "
+                f"mode={args.mode}: {summary['total']} cells - "
+                f"{summary['reused']} reused, {summary['ran']} ran, "
+                f"{summary['failed']} failed"
+            )
             if args.json:
-                _emit_json(doc, args.json)
-            return 0 if doc["complete"] else 1
-    except ConfigError as exc:
-        print(f"campaign: {exc}", file=sys.stderr)
-        return 2
+                _emit_json(summary, args.json)
+            return 1 if summary["failed"] else 0
+        if args.action == "status":
+            status = campaign_mod.campaign_status(
+                spec, store, git_sha=sha, mode=args.mode
+            )
+            print(
+                f"campaign {spec.name} [{status['spec_hash']}] "
+                f"mode={args.mode}: {status['ok']}/{status['total']} ok, "
+                f"{status['error']} failed, {status['pending']} pending"
+            )
+            if args.json:
+                _emit_json(status, args.json)
+            return 0 if status["complete"] else 1
+        doc = report_mod.build_report(
+            spec, store, git_sha=sha, mode=args.mode, created_at=created
+        )
+        markdown = report_mod.render_markdown(doc)
+        if args.md:
+            with open(args.md, "w") as handle:
+                handle.write(markdown)
+            print(f"wrote Markdown report to {args.md}")
+        else:
+            print(markdown, end="")
+        if args.html:
+            with open(args.html, "w") as handle:
+                handle.write(report_mod.render_html(doc))
+            print(f"wrote HTML report to {args.html}")
+        if args.json:
+            _emit_json(doc, args.json)
+        return 0 if doc["complete"] else 1
 
 
 def _cmd_lint(args) -> int:

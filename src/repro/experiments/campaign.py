@@ -99,7 +99,7 @@ def expand_spec(spec: CampaignSpec) -> List[CampaignCell]:
 
 def _fault_schedule(cell: CampaignCell, config):
     """Build the cell's :class:`FaultSchedule` from its signature."""
-    from repro.faults import FaultSchedule, HbmThrottle
+    from repro.faults import FaultSchedule, HbmThrottle, mid_run_batch
 
     kind, arg = parse_fault(cell.fault)
     if kind == "sou-failstop":
@@ -108,10 +108,11 @@ def _fault_schedule(cell: CampaignCell, config):
         )
     if kind == "hbm-throttle":
         n_batches = -(-cell.n_ops // config.batch_size)
-        mid = min(max(1, n_batches // 2), max(1, n_batches - 1))
         return FaultSchedule(
             seed=cell.seed,
-            events=(HbmThrottle(mid, max(mid, n_batches - 1), float(arg)),),
+            events=(
+                HbmThrottle(mid_run_batch(n_batches), n_batches - 1, float(arg)),
+            ),
         )
     raise ConfigError(f"unhandled fault kind {kind!r}")  # pragma: no cover
 
@@ -120,11 +121,15 @@ def run_campaign_cell(cell: CampaignCell) -> Dict[str, object]:
     """Execute one campaign cell and return its result document.
 
     Module-level (picklable) with deferred imports, like the sweep
-    runner's worker.  The document is the summary-level result dict plus
-    the cell identity, fault outcome (tree validity, degradation inputs)
-    and the applied platform power — everything the report needs, small
-    enough to archive thousands of.
+    runner's worker.  Every cell, faulted or healthy, runs the engine
+    :func:`~repro.harness.runner.default_engines` builds, so a fault
+    row differs from its ``none`` row only by the fault.  The document
+    is the summary-level result dict plus the cell identity, fault
+    outcome (tree validity, degradation inputs) and the applied
+    platform power — everything the report needs, small enough to
+    archive thousands of.
     """
+    from repro.harness.runner import default_engines
     from repro.harness.serialize import result_to_dict
     from repro.workloads import make_workload
 
@@ -136,26 +141,22 @@ def run_campaign_cell(cell: CampaignCell) -> Dict[str, object]:
         write_ratio=cell.write_ratio,
         op_skew=cell.op_skew,
     )
+    engine = default_engines(cell.n_keys, include=[cell.engine])[0]
     tree_valid: Optional[bool] = None
     if cell.fault == NO_FAULT:
-        from repro.harness.runner import default_engines
-
-        engine = default_engines(cell.n_keys, include=[cell.engine])[0]
         result = engine.run(workload)
     else:
         from repro.art.validate import validate_tree
-        from repro.core.accelerator import DcartAccelerator
         from repro.faults import FaultInjector
-        from repro.harness import resilience
 
-        config = resilience.chaos_config(cell.n_keys)
-        schedule = _fault_schedule(cell, config)
-        injector = FaultInjector(
-            schedule.validate_sous(config.n_sous).validate_shards(0)
+        config = engine.config
+        engine.injector = FaultInjector(
+            _fault_schedule(cell, config)
+            .validate_sous(config.n_sous)
+            .validate_shards(0)
         )
-        accelerator = DcartAccelerator(config=config, injector=injector)
-        tree = accelerator.build_tree(workload)
-        result = accelerator.run(workload, tree=tree)
+        tree = engine.build_tree(workload)
+        result = engine.run(workload, tree=tree)
         tree_valid = validate_tree(tree).ok
 
     doc = result_to_dict(result)

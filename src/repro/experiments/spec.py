@@ -20,9 +20,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Dict, Mapping, Optional, Tuple
 
+from repro.core.config import DCARTConfig
 from repro.errors import ConfigError
 from repro.harness.runner import ENGINE_ORDER, EXTENSION_ENGINES
 from repro.model.costs import DEFAULT_POWER, PowerModel
@@ -40,6 +42,22 @@ FAULT_CAPABLE_ENGINES: Tuple[str, ...] = ("DCART",)
 #: The no-fault signature every campaign has by default.
 NO_FAULT = "none"
 
+#: SOUs on the DCART every campaign cell runs; ``sou-failstop:N`` must
+#: leave at least one of them alive.
+N_SOUS = DCARTConfig().n_sous
+
+#: The ``power`` table's keys, in the order of ``CampaignSpec.power``.
+POWER_KEYS = ("cpu_watts", "gpu_watts", "fpga_watts")
+
+
+def _is_number(value: object, types: Tuple[type, ...] = (int, float)) -> bool:
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _is_positive_float(value: object) -> bool:
+    """A number in (0, largest finite float]: not NaN, inf or bool."""
+    return _is_number(value) and 0.0 < value <= sys.float_info.max
+
 
 def parse_fault(signature: str) -> Tuple[str, Optional[float]]:
     """Validate and split a fault signature into ``(kind, argument)``.
@@ -47,10 +65,13 @@ def parse_fault(signature: str) -> Tuple[str, Optional[float]]:
     Supported signatures:
 
     * ``"none"`` — the healthy run;
-    * ``"sou-failstop:N"`` — fail-stop N SOUs at batch 0 (N ≥ 1);
+    * ``"sou-failstop:N"`` — fail-stop N SOUs at batch 0
+      (1 ≤ N < :data:`N_SOUS`, so one SOU survives);
     * ``"hbm-throttle:F"`` — HBM bandwidth × F over the second half of
       the run (0 < F < 1).
     """
+    if not isinstance(signature, str):
+        raise ConfigError(f"fault signatures must be strings: {signature!r}")
     if signature == NO_FAULT:
         return (NO_FAULT, None)
     kind, sep, arg = signature.partition(":")
@@ -66,9 +87,11 @@ def parse_fault(signature: str) -> Tuple[str, Optional[float]]:
             raise ConfigError(
                 f"bad fault signature {signature!r}: N must be an integer"
             ) from None
-        if n < 1:
+        if not 1 <= n < N_SOUS:
             raise ConfigError(
-                f"bad fault signature {signature!r}: N must be >= 1"
+                f"bad fault signature {signature!r}: N must be in "
+                f"[1, {N_SOUS - 1}] (DCART has {N_SOUS} SOUs and one "
+                f"must survive)"
             )
         return (kind, float(n))
     if kind == "hbm-throttle":
@@ -107,9 +130,9 @@ class CampaignSpec:
     baseline_engine: str = field(default="")
 
     def __post_init__(self) -> None:
-        if not self.name or not self.name.replace("-", "").replace(
-            "_", ""
-        ).isalnum():
+        if not isinstance(self.name, str) or not self.name.replace(
+            "-", ""
+        ).replace("_", "").isalnum():
             raise ConfigError(
                 f"campaign name must be a non-empty [-_a-zA-Z0-9] slug: "
                 f"{self.name!r}"
@@ -136,29 +159,35 @@ class CampaignSpec:
             raise ConfigError("duplicate workloads in campaign")
         if not self.seeds:
             raise ConfigError("campaign needs at least one seed (repeat)")
+        for seed in self.seeds:  # stored as SQLite's signed 64-bit INTEGER
+            if not _is_number(seed, (int,)) or not 0 <= seed < 2**63:
+                raise ConfigError(
+                    f"seeds must be integers in [0, 2**63): {seed!r}"
+                )
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("duplicate seeds in campaign")
-        for seed in self.seeds:
-            if not isinstance(seed, int) or isinstance(seed, bool):
-                raise ConfigError(f"seeds must be integers: {seed!r}")
-        if self.n_keys <= 0 or self.n_ops <= 0:
+        for what, count in (("n_keys", self.n_keys), ("n_ops", self.n_ops)):
+            if not _is_number(count, (int,)) or count <= 0:
+                raise ConfigError(f"{what} must be a positive integer: {count!r}")
+        if self.write_ratio is not None and not (
+            _is_number(self.write_ratio) and 0.0 <= self.write_ratio <= 1.0
+        ):
             raise ConfigError(
-                f"n_keys/n_ops must be positive: {self.n_keys}/{self.n_ops}"
+                f"write_ratio must be in [0, 1]: {self.write_ratio!r}"
             )
-        if self.write_ratio is not None and not 0.0 <= self.write_ratio <= 1.0:
+        if self.op_skew is not None and not _is_positive_float(self.op_skew):
             raise ConfigError(
-                f"write_ratio must be in [0, 1]: {self.write_ratio}"
+                f"op_skew must be a positive number: {self.op_skew!r}"
             )
-        if self.op_skew is not None and self.op_skew <= 0.0:
-            raise ConfigError(f"op_skew must be positive: {self.op_skew}")
         if not self.faults:
             raise ConfigError(
                 "faults must not be empty (use ('none',) for healthy runs)"
             )
+        for signature in self.faults:
+            parse_fault(signature)
         if len(set(self.faults)) != len(self.faults):
             raise ConfigError("duplicate fault signatures in campaign")
         for signature in self.faults:
-            parse_fault(signature)
             if signature != NO_FAULT:
                 incapable = [
                     e for e in self.engines
@@ -172,10 +201,13 @@ class CampaignSpec:
                         f"{', '.join(FAULT_CAPABLE_ENGINES)} can)"
                     )
         if self.power is not None:
-            cpu, gpu, fpga = self.power
-            # PowerModel validates positivity; constructing it here makes
-            # a bad override fail at spec load, not mid-campaign.
-            PowerModel(cpu_watts=cpu, gpu_watts=gpu, fpga_watts=fpga)
+            for key, watts in zip(POWER_KEYS, self.power):
+                if not _is_positive_float(watts):
+                    raise ConfigError(
+                        f"power {key} must be a positive number of watts: "
+                        f"{watts!r}"
+                    )
+            object.__setattr__(self, "power", tuple(map(float, self.power)))
         baseline = self.baseline_engine or self.engines[0]
         if baseline not in self.engines:
             raise ConfigError(
@@ -231,7 +263,7 @@ def spec_from_dict(doc: Mapping[str, object]) -> CampaignSpec:
     unknown = sorted(set(doc) - known)
     if unknown:
         raise ConfigError(
-            f"unknown campaign spec key(s): {', '.join(unknown)} "
+            f"unknown campaign spec key(s): {', '.join(map(repr, unknown))} "
             f"(known: {', '.join(sorted(known))})"
         )
     for required in ("name", "engines", "workloads", "seeds"):
@@ -247,17 +279,13 @@ def spec_from_dict(doc: Mapping[str, object]) -> CampaignSpec:
     if kwargs.get("power") is not None:
         power = kwargs["power"]
         if isinstance(power, Mapping):
-            extra = sorted(
-                set(power) - {"cpu_watts", "gpu_watts", "fpga_watts"}
-            )
+            extra = sorted(set(power) - set(POWER_KEYS))
             if extra:
                 raise ConfigError(
-                    f"unknown power key(s): {', '.join(extra)}"
+                    f"unknown power key(s): {', '.join(map(repr, extra))}"
                 )
-            kwargs["power"] = (
-                float(power.get("cpu_watts", DEFAULT_POWER.cpu_watts)),
-                float(power.get("gpu_watts", DEFAULT_POWER.gpu_watts)),
-                float(power.get("fpga_watts", DEFAULT_POWER.fpga_watts)),
+            kwargs["power"] = tuple(
+                power.get(key, getattr(DEFAULT_POWER, key)) for key in POWER_KEYS
             )
         else:
             raise ConfigError(

@@ -21,6 +21,7 @@ from repro.faults.schedule import (
     ShortcutCorruption,
     SouFailStop,
     SouSlowdown,
+    mid_run_batch,
 )
 
 __all__ = [
@@ -35,4 +36,5 @@ __all__ = [
     "SouFailStop",
     "SouSlowdown",
     "Watchdog",
+    "mid_run_batch",
 ]

@@ -277,6 +277,17 @@ def _event_key(event: FaultEvent) -> Tuple[int, str, str]:
     return (first, type(event).__name__, repr(event))
 
 
+def mid_run_batch(n_batches: int) -> int:
+    """First batch of the second half of an ``n_batches``-batch run.
+
+    Mid-run faults (corruption, storms, throttle windows) start here.
+    Batch 0 stays healthy whenever there is a later batch to fault, and
+    a one-batch run's second half is its only batch, 0, so the fault
+    still fires.
+    """
+    return min(max(1, n_batches // 2), n_batches - 1)
+
+
 @dataclass(frozen=True)
 class FaultSchedule:
     """A seeded, immutable plan of fault events."""

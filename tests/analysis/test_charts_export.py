@@ -1,64 +1,12 @@
-"""Tests for ASCII charts and CSV export."""
+"""Tests for CSV export."""
 
 import io
 
 import pytest
 
-from repro.analysis.charts import bar_chart, speedup_chart
 from repro.analysis.export import csv_to_rows, experiment_to_csv
 from repro.errors import SimulationError
 from repro.harness.experiments import ExperimentResult
-
-
-class TestBarChart:
-    def test_basic_render(self):
-        text = bar_chart([("ART", 100.0), ("DCART", 1.0)], unit="ms")
-        lines = text.splitlines()
-        assert len(lines) == 2
-        assert lines[0].startswith("ART")
-        assert lines[0].count("#") > lines[1].count("#")
-
-    def test_log_scale_compresses(self):
-        linear = bar_chart([("a", 1000.0), ("b", 1.0)], width=40)
-        log = bar_chart([("a", 1000.0), ("b", 1.0)], width=40, log_scale=True)
-        bars_linear = [line.count("#") for line in linear.splitlines()]
-        bars_log = [line.count("#") for line in log.splitlines()]
-        assert bars_linear[1] <= 1
-        assert bars_log[1] > bars_linear[1] or bars_log[1] >= 1
-        assert bars_log[0] / max(1, bars_log[1]) < bars_linear[0] / max(
-            1, bars_linear[1]
-        )
-
-    def test_zero_value_gets_no_bar(self):
-        text = bar_chart([("a", 5.0), ("b", 0.0)])
-        assert text.splitlines()[1].endswith("|")
-
-    def test_title(self):
-        assert bar_chart([("a", 1.0)], title="T").splitlines()[0] == "T"
-
-    def test_validation(self):
-        with pytest.raises(SimulationError):
-            bar_chart([])
-        with pytest.raises(SimulationError):
-            bar_chart([("a", -1.0)])
-        with pytest.raises(SimulationError):
-            bar_chart([("a", 1.0)], width=0)
-
-
-class TestSpeedupChart:
-    def test_renders_blocks_per_workload(self):
-        from repro.harness.runner import default_engines, run_matrix
-        from repro.workloads import make_workload
-
-        wl = make_workload("DE", n_keys=400, n_ops=1200, seed=4)
-        matrix = run_matrix(default_engines(400, include=["SMART", "DCART"]), [wl])
-        text = speedup_chart(matrix, engine_order=["SMART", "DCART"])
-        assert "DE (elapsed_seconds)" in text
-        assert "SMART" in text and "DCART" in text
-
-    def test_empty_rejected(self):
-        with pytest.raises(SimulationError):
-            speedup_chart({})
 
 
 class TestCsvExport:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.art import AdaptiveRadixTree, encode_u64
-from repro.art.bulk import bulk_load
 from repro.art.debug import depth_histogram, render_ascii, structure_digest
 
 
@@ -75,15 +74,6 @@ class TestDigest:
         assert structure_digest(tree) == structure_digest(other)
         assert structure_digest(tree, include_values=True) != structure_digest(
             other, include_values=True
-        )
-
-    def test_bulk_load_matches_incremental_digest(self):
-        pairs = [(encode_u64(i * 3), i) for i in range(200)]
-        incremental = AdaptiveRadixTree()
-        for key, value in pairs:
-            incremental.insert(key, value)
-        assert structure_digest(bulk_load(pairs), include_values=True) == (
-            structure_digest(incremental, include_values=True)
         )
 
     def test_empty_tree_digest_stable(self):

@@ -118,6 +118,7 @@ def test_delete_half_keeps_other_half(keys, data):
             assert key not in tree
         else:
             assert tree.search(key) == key
+    assert [k for k, _ in tree.items()] == sorted(set(keys) - to_delete)
     tree.validate()
 
 
@@ -129,6 +130,24 @@ def test_delete_half_keeps_other_half(keys, data):
 @settings(max_examples=60, deadline=None)
 def test_range_scan_matches_filter(keys, a, b):
     low, high = (encode_u64(min(a, b)), encode_u64(max(a, b)))
+    tree = AdaptiveRadixTree()
+    for key in keys:
+        tree.insert(key, None)
+    got = [k for k, _ in tree.range_scan(low, high)]
+    assert got == sorted(k for k in keys if low <= k <= high)
+
+
+@given(
+    st.lists(str_keys, unique=True),
+    st.binary(max_size=14),
+    st.binary(max_size=14),
+)
+@settings(max_examples=60, deadline=None)
+def test_range_scan_bounds_need_not_be_keys(keys, a, b):
+    # Variable-length keys with bounds of any length, e.g. a bare prefix
+    # of a stored key: the scan still yields exactly the keys in
+    # [low, high], in order, and nothing on an empty tree.
+    low, high = min(a, b), max(a, b)
     tree = AdaptiveRadixTree()
     for key in keys:
         tree.insert(key, None)
@@ -158,4 +177,5 @@ def test_allocation_accounting_balances(keys):
         tree.delete(key)
     # Every allocated node must eventually be freed when the tree empties.
     assert tree.stats.node_allocations == tree.stats.node_frees
+    assert list(tree.items()) == []
     assert tree.allocator.live_bytes == 0

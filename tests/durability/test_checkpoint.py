@@ -52,7 +52,7 @@ class TestRoundTrip:
         assert list(restored.items()) == list(tree.items())
         restored.validate()
 
-    def test_bulk_load_snapshot_is_seq_zero(self, tmp_path):
+    def test_initial_snapshot_is_seq_zero(self, tmp_path):
         info = write_checkpoint(str(tmp_path), make_tree(3), batch_index=-1)
         assert info.seq == 0
         assert checkpoint_name(-1) == "ckpt-00000000"

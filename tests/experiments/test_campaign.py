@@ -200,6 +200,29 @@ class TestRealCellExecution:
         assert doc["cell"]["tree_valid"] is True
         assert doc["throughput_mops"] > 0
 
+    @staticmethod
+    def _ipgeo_cell(fault, n_keys, n_ops):
+        return run_campaign_cell(CampaignCell(
+            engine="DCART", workload="IPGEO", seed=1, fault=fault,
+            n_keys=n_keys, n_ops=n_ops,
+        ))
+
+    def test_fault_cell_runs_the_healthy_cells_dcart(self):
+        # faults.toml scale: a fault may only cost throughput (a fault
+        # cell on its own smaller-batch config once read 83.06 Mops/s
+        # here against the healthy 65.50).
+        healthy = self._ipgeo_cell("none", 2_000, 20_000)
+        faulted = self._ipgeo_cell("sou-failstop:2", 2_000, 20_000)
+        assert faulted["cell"]["tree_valid"] is True
+        assert faulted["throughput_mops"] <= healthy["throughput_mops"]
+
+    def test_one_batch_throttle_fires(self):
+        # 1,000 ops is one batch; the throttle window must still cover
+        # it rather than start at a batch that never runs.
+        healthy = self._ipgeo_cell("none", 500, 1_000)
+        throttled = self._ipgeo_cell("hbm-throttle:0.0001", 500, 1_000)
+        assert throttled["elapsed_seconds"] > healthy["elapsed_seconds"]
+
     def test_power_override_rescales_energy_exactly(self):
         base = run_campaign_cell(CampaignCell(
             engine="DCART", workload="IPGEO", seed=1,

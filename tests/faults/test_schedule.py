@@ -13,6 +13,7 @@ from repro.faults import (
     ShortcutCorruption,
     SouFailStop,
     SouSlowdown,
+    mid_run_batch,
 )
 from repro.faults.schedule import CLUSTER_EVENTS
 from repro.faults.schedule import CRASH_POINTS
@@ -61,6 +62,22 @@ class TestEventValidation:
 
         # The schedule mirrors the manager's matrix (no import cycle).
         assert CRASH_POINTS == MANAGER_POINTS
+
+
+class TestMidRunBatch:
+    @pytest.mark.parametrize(
+        "n_batches, mid", [(1, 0), (2, 1), (3, 1), (8, 4), (9, 4)]
+    )
+    def test_values(self, n_batches, mid):
+        assert mid_run_batch(n_batches) == mid
+
+    def test_window_always_inside_the_run(self):
+        # The second half is never empty and, past one batch, never
+        # includes batch 0.
+        for n_batches in range(1, 200):
+            mid = mid_run_batch(n_batches)
+            assert 0 <= mid <= n_batches - 1
+            assert mid >= 1 or n_batches == 1
 
 
 class TestDeterminism:

@@ -607,11 +607,19 @@ class TestBenchCorruptTrajectory:
                      id="replay-missing-file"),
         pytest.param(["run", "--engine", "DCART", "--replay",
                       "{tmp}/not-json.jsonl"], id="replay-not-json"),
+        # Argument-parser rejections: no usage block above the error.
+        pytest.param(["run", "--engine", "dcart-vec"], id="argparse-choice"),
+        pytest.param(["serve", "--replicas", "3"], id="argparse-int-choice"),
+        pytest.param(["run", "--engine", "DCART", "--keys", "many"],
+                     id="argparse-type"),
     ],
 )
 def test_bad_input_is_one_line_and_exit_2(argv, capsys, tmp_path):
     (tmp_path / "not-json.jsonl").write_text("not json\n")
-    code = main([arg.format(tmp=tmp_path) for arg in argv])
+    try:
+        code = main([arg.format(tmp=tmp_path) for arg in argv])
+    except SystemExit as exc:  # the argument parser exits on its own
+        code = exc.code
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.strip().splitlines()) == 1, err
