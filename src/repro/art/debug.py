@@ -99,20 +99,3 @@ def structure_digest(tree: AdaptiveRadixTree, include_values: bool = False) -> s
 
     walk(tree.root)
     return hasher.hexdigest()[:16]
-
-
-def depth_histogram(tree: AdaptiveRadixTree) -> dict:
-    """Leaf count per depth — the shape summary behind height claims."""
-    histogram: dict = {}
-
-    def walk(node: Optional[Child], depth: int) -> None:
-        if node is None:
-            return
-        if isinstance(node, Leaf):
-            histogram[depth] = histogram.get(depth, 0) + 1
-            return
-        for _, child in node.children_items():
-            walk(child, depth + 1)
-
-    walk(tree.root, 1)
-    return histogram

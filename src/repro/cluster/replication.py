@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Deque, List
+from typing import Deque
 from collections import deque
 
 from repro.art.tree import AdaptiveRadixTree
@@ -154,14 +154,3 @@ class ReplicaShard:
             f"lag {self.lag_batches()} groups, "
             f"{self.ops_shipped - self.ops_applied} ops)"
         )
-
-
-def ship_and_advance(
-    replicas: List[ReplicaShard],
-    now_cycle: int,
-) -> int:
-    """Advance every replica to ``now_cycle``; returns total ops applied."""
-    total = 0
-    for replica in replicas:
-        total += replica.advance(now_cycle)
-    return total

@@ -14,8 +14,7 @@ that had to wait because a concurrent operation held the node).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
 
 
 @dataclass
@@ -25,20 +24,12 @@ class LockAccounting:
     acquisitions: int = 0
     contentions: int = 0
     parent_acquisitions: int = 0  # extra locks due to node-type changes
-    hold_events: Dict[int, int] = field(default_factory=dict)  # node -> times locked
 
     @property
     def contention_rate(self) -> float:
         if self.acquisitions == 0:
             return 0.0
         return self.contentions / self.acquisitions
-
-    def merge(self, other: "LockAccounting") -> None:
-        self.acquisitions += other.acquisitions
-        self.contentions += other.contentions
-        self.parent_acquisitions += other.parent_acquisitions
-        for node, count in other.hold_events.items():
-            self.hold_events[node] = self.hold_events.get(node, 0) + count
 
 
 class RowexLockTable:
@@ -63,7 +54,6 @@ class RowexLockTable:
         """
         acc = self.accounting
         acc.acquisitions += 1
-        acc.hold_events[node_id] = acc.hold_events.get(node_id, 0) + 1
         if waiting_behind > 0:
             acc.contentions += 1
         locks = 1
@@ -71,15 +61,4 @@ class RowexLockTable:
             acc.acquisitions += 1
             acc.parent_acquisitions += 1
             locks = 2
-            if parent_id is not None:
-                acc.hold_events[parent_id] = acc.hold_events.get(parent_id, 0) + 1
         return locks
-
-    @property
-    def hottest_node(self):
-        """``(node_id, times_locked)`` of the most-contended node."""
-        events = self.accounting.hold_events
-        if not events:
-            return None
-        node = max(events, key=events.get)
-        return node, events[node]

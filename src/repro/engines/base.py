@@ -189,7 +189,7 @@ class Engine(abc.ABC):
 
         Operation-centric engines (the CPU baselines, CuART) execute the
         stream identically, so a caller may pass ``records`` collected
-        once (see :func:`repro.harness.runner.run_matrix`) and each
+        once (see :class:`repro.harness.runner.SharedWalk`) and each
         engine prices the same traces with its own cost model.  Engines
         whose *functional* execution differs (DCART, DCART-C take
         shortcut paths that touch different nodes) ignore ``records``.

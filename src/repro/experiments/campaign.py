@@ -2,8 +2,8 @@
 
 The runner leans on :mod:`repro.harness.parallel` for everything that is
 hard about running grids — process fan-out, the crashed-worker
-retry-once path, structured per-cell error documents — and adds the two
-things a *campaign* needs over a sweep:
+retry-once path, structured per-cell error documents — and adds the
+three things a *campaign* needs over a sweep:
 
 * **resume** — before running, the store is asked which cells are
   already OK under ``(spec hash, git SHA, mode)``; those are skipped
@@ -11,11 +11,17 @@ things a *campaign* needs over a sweep:
   via the runner's ``on_result`` hook, so killing a campaign loses at
   most the cells still in flight;
 * **dimensions** — cells carry a fault-schedule signature and the
-  spec's platform-power model, which a plain sweep cell does not.
+  spec's platform-power model, which a plain sweep cell does not;
+* **groups** — the cells that share one seeded workload run together,
+  so the workload is generated once and the operation-centric
+  baselines price one functional walk (paper Fig. 9 compares every
+  engine on the same workloads; redoing the walk per engine would be
+  the redundant traversal of Fig. 2(b), inside the simulator).
 
 The cell worker is module-level (picklable) and derives everything from
-the frozen cell value, preserving the sweep runner's determinism
-contract: a campaign's stored grid is bit-identical for any ``--jobs``.
+the frozen cell value and its group's shared walk, preserving the sweep
+runner's determinism contract: a campaign's stored grid is
+bit-identical for any ``--jobs``.
 """
 
 from __future__ import annotations
@@ -69,6 +75,17 @@ class CampaignCell:
     def label(self) -> str:
         return self.key()
 
+    def group(self) -> Tuple[object, ...]:
+        """What the cells of one group share: the seeded workload."""
+        return (
+            self.workload,
+            self.n_keys,
+            self.n_ops,
+            self.seed,
+            self.write_ratio,
+            self.op_skew,
+        )
+
     def power_model(self) -> PowerModel:
         if self.power is None:
             return DEFAULT_POWER
@@ -117,34 +134,48 @@ def _fault_schedule(cell: CampaignCell, config):
     raise ConfigError(f"unhandled fault kind {kind!r}")  # pragma: no cover
 
 
-def run_campaign_cell(cell: CampaignCell) -> Dict[str, object]:
+def run_campaign_cell(
+    cell: CampaignCell, shared: Optional[Dict[str, object]] = None
+) -> Dict[str, object]:
     """Execute one campaign cell and return its result document.
 
     Module-level (picklable) with deferred imports, like the sweep
-    runner's worker.  Every cell, faulted or healthy, runs the engine
+    runner's worker.  ``shared`` is the dict the cell's group shares
+    (see :func:`repro.harness.parallel.run_cells`): it holds the group's
+    :class:`~repro.harness.runner.SharedWalk`, so a group generates its
+    workload once and walks it once for all of its healthy
+    operation-centric engines.  A cell run on its own walks alone.
+
+    Every cell, faulted or healthy, runs the engine
     :func:`~repro.harness.runner.default_engines` builds, so a fault
-    row differs from its ``none`` row only by the fault.  The document
-    is the summary-level result dict plus the cell identity, fault
-    outcome (tree validity, degradation inputs) and the applied
-    platform power — everything the report needs, small enough to
-    archive thousands of.
+    row differs from its ``none`` row only by the fault; a fault cell
+    runs on a fresh tree of its own.  The document is the summary-level
+    result dict plus the cell identity, fault outcome (tree validity,
+    degradation inputs) and the applied platform power — everything the
+    report needs, small enough to archive thousands of.
     """
-    from repro.harness.runner import default_engines
+    from repro.harness.runner import SharedWalk, default_engines
     from repro.harness.serialize import result_to_dict
     from repro.workloads import make_workload
 
-    workload = make_workload(
-        cell.workload,
-        n_keys=cell.n_keys,
-        n_ops=cell.n_ops,
-        seed=cell.seed,
-        write_ratio=cell.write_ratio,
-        op_skew=cell.op_skew,
-    )
+    if shared is None:
+        shared = {}
+    walk = shared.get("walk")
+    if walk is None:
+        walk = shared["walk"] = SharedWalk(
+            make_workload(
+                cell.workload,
+                n_keys=cell.n_keys,
+                n_ops=cell.n_ops,
+                seed=cell.seed,
+                write_ratio=cell.write_ratio,
+                op_skew=cell.op_skew,
+            )
+        )
     engine = default_engines(cell.n_keys, include=[cell.engine])[0]
     tree_valid: Optional[bool] = None
     if cell.fault == NO_FAULT:
-        result = engine.run(workload)
+        result = walk.run(engine)
     else:
         from repro.art.validate import validate_tree
         from repro.faults import FaultInjector
@@ -155,8 +186,8 @@ def run_campaign_cell(cell: CampaignCell) -> Dict[str, object]:
             .validate_sous(config.n_sous)
             .validate_shards(0)
         )
-        tree = engine.build_tree(workload)
-        result = engine.run(workload, tree=tree)
+        tree = engine.build_tree(walk.workload)
+        result = engine.run(walk.workload, tree=tree)
         tree_valid = validate_tree(tree).ok
 
     doc = result_to_dict(result)
@@ -192,15 +223,20 @@ def run_campaign(
     mode: str = "full",
     jobs: int = 1,
     created_at: str = "",
-    worker: Callable[[CampaignCell], Dict[str, object]] = run_campaign_cell,
+    worker: Callable[
+        [CampaignCell, Dict[str, object]], Dict[str, object]
+    ] = run_campaign_cell,
 ) -> Dict[str, object]:
     """Run (or resume) a campaign; returns the run summary.
 
     Every cell already stored OK under ``(spec hash, git_sha, mode)`` is
     skipped without simulation; the rest run through
-    :func:`repro.harness.parallel.run_cells` (``jobs`` processes,
-    crashed workers retried once) and are persisted *as they complete*,
-    so an interrupted campaign resumes from its last committed cell.
+    :func:`repro.harness.parallel.run_cells` in groups of
+    :meth:`CampaignCell.group` (``jobs`` processes, one group at a time
+    each; failing cells retried once) and are persisted *as they
+    complete*, so an interrupted campaign resumes from its last
+    committed cell.  A partly stored group re-runs only its missing
+    cells.
 
     The summary reports ``total``/``reused``/``ran``/``failed`` — the
     acceptance gate for idempotence is ``ran == 0`` on a second
@@ -230,7 +266,13 @@ def run_campaign(
             created_at=created_at,
         )
 
-    results = run_cells(missing, jobs=jobs, worker=worker, on_result=persist)
+    results = run_cells(
+        missing,
+        jobs=jobs,
+        worker=worker,
+        on_result=persist,
+        group_key=CampaignCell.group,
+    )
     failed = sum(1 for doc in results if "error" in doc)
     return {
         "spec_hash": spec_hash,

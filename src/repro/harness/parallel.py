@@ -2,25 +2,28 @@
 
 Experiment grids are embarrassingly parallel — each cell builds its own
 workload and tree from its own seed — so the runner uses a
-``ProcessPoolExecutor`` with one task per cell.  Determinism is kept by
-construction:
+``ProcessPoolExecutor`` with one task per group of cells (by default
+every cell is its own group).  Determinism is kept by construction:
 
 * **per-cell seeding** — a cell is a frozen :class:`SweepCell` value and
-  the worker derives *everything* (workload, tree, engine) from it; no
-  state crosses cells and nothing depends on scheduling order;
-* **ordered collection** — results come back via ``Executor.map``, which
-  yields in submission order regardless of completion order.
+  the worker derives *everything* (workload, tree, engine) from it; the
+  only state that crosses cells is what a group's worker derives once
+  for all of them from the fields they share, and nothing depends on
+  scheduling order;
+* **ordered collection** — results are read future by future in
+  submission order, regardless of completion order.
 
 Consequently ``run_cells(cells, jobs=N)`` returns bit-identical output
 for every ``N`` (including the in-process ``jobs=1`` path), which the
 test suite asserts through the lossless
 :func:`~repro.harness.serialize.result_to_full_dict` encoding.
 
-A crashed or raising worker does not abort the sweep: the cell is
-retried exactly once with the same seed (in a fresh single-worker pool,
-since a hard crash poisons the shared one), and a second failure
-produces a structured per-cell error document in the cell's slot rather
-than an exception — 99 healthy cells survive the one that dies.
+A crashed or raising worker does not abort the sweep: a raising cell is
+retried exactly once with the same seed, a group whose process died is
+re-run once in a fresh single-worker pool (a hard crash poisons the
+shared one), and a second failure produces a structured per-cell error
+document in the cell's slot rather than an exception — 99 healthy cells
+survive the one that dies.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import logging
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 LOG = logging.getLogger(__name__)
 
@@ -163,24 +166,15 @@ def cell_failed(doc: Dict[str, object]) -> bool:
 
 
 def _retry_cell(
-    worker: Callable[[SweepCell], Dict[str, object]],
+    worker: Callable[..., Dict[str, object]],
+    args: Tuple[object, ...],
     cell: SweepCell,
     first: BaseException,
-    in_process: bool,
 ) -> Dict[str, object]:
-    """One retry with the same seed; a fresh pool isolates hard crashes.
-
-    A worker that died mid-cell may have poisoned its pool
-    (``BrokenProcessPool`` marks every sibling future), so the retry
-    never reuses the original executor.  The in-process path retries
-    inline — a plain exception there cannot corrupt shared state.
-    """
+    """One in-place retry with the same arguments (and so the same seed)."""
     LOG.warning("cell %s failed (%s); retrying once", cell.label(), first)
     try:
-        if in_process:
-            return worker(cell)
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            return pool.submit(worker, cell).result()
+        return worker(*args)
     except BaseException as again:  # noqa: BLE001 - converted to a doc
         if isinstance(again, (KeyboardInterrupt, SystemExit)):
             raise
@@ -188,62 +182,129 @@ def _retry_cell(
         return error_doc(cell, first, again)
 
 
+def _run_group(
+    worker: Callable[..., Dict[str, object]],
+    cells: Sequence[SweepCell],
+    grouped: bool,
+    on_result: Optional[Callable[[SweepCell, Dict[str, object]], None]] = None,
+) -> List[Dict[str, object]]:
+    """Run one group's cells in order, in this process.
+
+    A grouped worker is called as ``worker(cell, shared)``: ``shared``
+    is a dict that starts empty, is passed to every cell of the group,
+    and is dropped when the group ends.  A cell whose worker raises is
+    retried once with the same arguments; a second failure fills its
+    slot with :func:`error_doc`, and the group's other cells still run.
+    ``on_result`` sees each document as soon as it is final.
+    """
+    shared: Dict[str, object] = {}
+    docs: List[Dict[str, object]] = []
+    for cell in cells:
+        args = (cell, shared) if grouped else (cell,)
+        try:
+            doc = worker(*args)
+        except BaseException as exc:  # noqa: BLE001 - retried below
+            if isinstance(exc, (KeyboardInterrupt, SystemExit)):
+                raise
+            doc = _retry_cell(worker, args, cell, exc)
+        if on_result is not None:
+            on_result(cell, doc)
+        docs.append(doc)
+    return docs
+
+
+def _retry_group(
+    worker: Callable[..., Dict[str, object]],
+    cells: Sequence[SweepCell],
+    grouped: bool,
+    first: BaseException,
+) -> List[Dict[str, object]]:
+    """Re-run a group whose worker process died, in a fresh pool.
+
+    A worker that died mid-group may have poisoned its pool
+    (``BrokenProcessPool`` marks every sibling future), so the retry
+    never reuses the original executor.  A second death fills every
+    slot of the group with :func:`error_doc`.
+    """
+    labels = ", ".join(cell.label() for cell in cells)
+    LOG.warning("group %s failed (%s); retrying once", labels, first)
+    try:
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            return pool.submit(_run_group, worker, cells, grouped).result()
+    except BaseException as again:  # noqa: BLE001 - converted to docs
+        if isinstance(again, (KeyboardInterrupt, SystemExit)):
+            raise
+        LOG.error("group %s failed twice; recording errors", labels)
+        return [error_doc(cell, first, again) for cell in cells]
+
+
 def run_cells(
     cells: Sequence[SweepCell],
     jobs: int = 1,
-    worker: Callable[[SweepCell], Dict[str, object]] = run_cell,
+    worker: Callable[..., Dict[str, object]] = run_cell,
     on_result: Optional[
         Callable[[SweepCell, Dict[str, object]], None]
     ] = None,
+    group_key: Optional[Callable[[SweepCell], Hashable]] = None,
 ) -> List[Dict[str, object]]:
-    """Run every cell, ``jobs`` at a time, collecting in cell order.
+    """Run every cell, ``jobs`` groups at a time, collecting in group order.
 
-    ``jobs=1`` runs in-process (no pool, easier to debug/profile);
-    ``jobs>1`` fans out over processes.  Output is identical either way.
+    Without ``group_key`` every cell is its own group and the worker is
+    called as ``worker(cell)``.  With it, cells with equal keys form one
+    group, groups keep the order of their first cell and cells keep
+    their order within a group, and the worker is called as
+    ``worker(cell, shared)`` (see :func:`_run_group`), so a group's
+    cells can share work they would otherwise each redo.
 
-    A cell whose worker raises — or whose worker *process* dies — is
-    retried once with the same seed; if the retry also fails its slot
-    holds :func:`error_doc` output instead of a result, and every other
-    cell still completes.  ``worker`` is injectable for tests and must
-    be a module-level callable when ``jobs > 1`` (pickling).
+    A group is the unit of scheduling: ``jobs=1`` runs every group
+    in-process (no pool, easier to debug/profile); ``jobs>1`` fans the
+    groups out over ``min(jobs, groups)`` processes.  Output is
+    identical either way.
 
-    ``on_result`` fires once per cell, in collection (= submission)
-    order, as soon as that cell's document is final — including the
-    retry and error-document paths.  The experiment platform uses it to
-    persist each finished cell before the grid completes, so a killed
-    campaign resumes from the last persisted cell instead of from zero.
-    An ``on_result`` that raises aborts the run (persistence failing is
-    not a per-cell condition).
+    A cell whose worker raises is retried once with the same seed; if
+    the retry also fails its slot holds :func:`error_doc` output
+    instead of a result, and every other cell still completes.  A group
+    whose worker *process* dies is re-run once in a fresh process.
+    ``worker`` is injectable for tests and must be a module-level
+    callable when ``jobs > 1`` (pickling).
+
+    ``on_result`` fires once per cell, in collection order, as soon as
+    that cell's document is final — including the retry and
+    error-document paths; in-process that is as each cell finishes, in
+    a pool as each group comes back.  The experiment platform uses it
+    to persist each finished cell before the grid completes, so a
+    killed campaign resumes from the last persisted cell instead of
+    from zero.  An ``on_result`` that raises aborts the run
+    (persistence failing is not a per-cell condition).
     """
     if jobs <= 0:
         raise ConfigError(f"jobs must be positive: {jobs}")
-    cells = list(cells)
-    if jobs == 1 or len(cells) <= 1:
-        out = []
-        for cell in cells:
-            try:
-                doc = worker(cell)
-            except BaseException as exc:  # noqa: BLE001 - retried below
-                if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-                    raise
-                doc = _retry_cell(worker, cell, exc, in_process=True)
-            if on_result is not None:
-                on_result(cell, doc)
-            out.append(doc)
+    grouped = group_key is not None
+    groups: Dict[Hashable, List[SweepCell]] = {}
+    for index, cell in enumerate(cells):
+        groups.setdefault(group_key(cell) if grouped else index, []).append(cell)
+    if jobs == 1 or len(groups) <= 1:
+        out: List[Dict[str, object]] = []
+        for group in groups.values():
+            out.extend(_run_group(worker, group, grouped, on_result))
         return out
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(worker, cell) for cell in cells]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
+        futures = [
+            pool.submit(_run_group, worker, group, grouped)
+            for group in groups.values()
+        ]
         results: List[Dict[str, object]] = []
-        for cell, future in zip(cells, futures):
+        for group, future in zip(groups.values(), futures):
             try:
-                doc = future.result()
+                docs = future.result()
             except BaseException as exc:  # noqa: BLE001 - retried below
                 if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                     raise
-                doc = _retry_cell(worker, cell, exc, in_process=False)
-            if on_result is not None:
-                on_result(cell, doc)
-            results.append(doc)
+                docs = _retry_group(worker, group, grouped, exc)
+            for cell, doc in zip(group, docs):
+                if on_result is not None:
+                    on_result(cell, doc)
+            results.extend(docs)
     return results
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, Iterable, List, Optional
 
+from repro.art.stats import TraversalRecord
 from repro.core.accelerator import DcartAccelerator
 from repro.core.config import DCARTConfig
 from repro.engines import (
@@ -27,6 +28,7 @@ from repro.engines import (
     SmartEngine,
 )
 from repro.engines.base import Engine, RunResult
+from repro.engines.cpu_common import CpuOperationCentricEngine
 from repro.model.costs import DEFAULT_CPU_COSTS, DEFAULT_GPU_COSTS, CpuCosts, GpuCosts
 from repro.workloads.ops import Workload
 
@@ -114,34 +116,41 @@ def default_engines(n_keys: int, include: Optional[Iterable[str]] = None) -> Lis
     return [roster[name] for name in order if name in wanted]
 
 
+class SharedWalk:
+    """One workload, walked once for every operation-centric engine.
+
+    ART, Heart, SMART, CuART and OLC apply the op stream to the tree
+    identically and differ only in how they price it, so the first of
+    them to run builds the tree and collects the traversal records, and
+    each prices those same records.  DCART and DCART-C take shortcut
+    paths of their own and run on fresh trees.
+    """
+
+    def __init__(self, workload: Workload):
+        self.workload = workload
+        self._records: Optional[List[TraversalRecord]] = None
+
+    def run(self, engine: Engine) -> RunResult:
+        if not isinstance(engine, (CpuOperationCentricEngine, CuArtEngine)):
+            return engine.run(self.workload)
+        if self._records is None:
+            tree = engine.build_tree(self.workload)
+            self._records = engine.collect_records(tree, self.workload)
+        return engine.run(self.workload, records=self._records)
+
+
 def run_matrix(
     engines: Iterable[Engine], workloads: Iterable[Workload]
 ) -> Dict[str, Dict[str, RunResult]]:
-    """Run every engine on every workload.
+    """Run every engine on every workload, one :class:`SharedWalk` each.
 
-    Returns ``results[workload_name][engine_name]``.  The operation-
-    centric engines (ART/Heart/SMART/CuART) execute the stream
-    identically, so their traversal traces are collected once per
-    workload and priced per engine; DCART and DCART-C execute their own
-    (shortcut-taking) paths on fresh trees.
+    Returns ``results[workload_name][engine_name]``.
     """
-    from repro.engines.cpu_common import CpuOperationCentricEngine
-    from repro.engines.cuart import CuArtEngine
-
     engine_list = list(engines)
     results: Dict[str, Dict[str, RunResult]] = {}
     for workload in workloads:
-        shared_records = None
-        per_engine: Dict[str, RunResult] = {}
-        for engine in engine_list:
-            if isinstance(engine, (CpuOperationCentricEngine, CuArtEngine)):
-                if shared_records is None:
-                    tree = engine.build_tree(workload)
-                    shared_records = engine.collect_records(tree, workload)
-                per_engine[engine.name] = engine.run(
-                    workload, records=shared_records
-                )
-            else:
-                per_engine[engine.name] = engine.run(workload)
-        results[workload.name] = per_engine
+        walk = SharedWalk(workload)
+        results[workload.name] = {
+            engine.name: walk.run(engine) for engine in engine_list
+        }
     return results

@@ -8,8 +8,8 @@ subpackage provides:
 
 * :mod:`cacheline` — line-granular access arithmetic and a utilisation
   meter;
-* :mod:`cache` — a set-associative cache simulator with LRU and tree-PLRU
-  replacement (the paper's reference [4]);
+* :mod:`cache` — a set-associative cache simulator with LRU
+  replacement;
 * :mod:`dram` — flat latency + bandwidth models for DDR DRAM and the
   U280's HBM.
 """

@@ -7,9 +7,9 @@ Two presets cover the paper's platforms:
 * :data:`HBM2` — the Alveo U280's 8 GB HBM stack (what DCART's off-chip
   tables and the ART itself live in).
 
-The model is deliberately simple — ``time = max(latency-limited,
-bandwidth-limited)`` over an access stream — because the engines need a
-deterministic, explainable bound, not a DRAM-protocol simulation.  The
+The model is deliberately simple — a latency per access and a bandwidth
+per byte — because the engines need a deterministic, explainable bound,
+not a DRAM-protocol simulation.  The
 constants are conservative public figures.
 """
 
@@ -46,22 +46,6 @@ class MemoryModel:
         if total_bytes < 0:
             raise ConfigError(f"byte count must be >= 0: {total_bytes}")
         return total_bytes / (self.bandwidth_gb_s * 1e9)
-
-    def stream_seconds(
-        self, accesses: int, total_bytes: int, parallel_requesters: int = 1
-    ) -> float:
-        """Time for ``accesses`` random reads moving ``total_bytes`` overall.
-
-        Latency-limited time amortises over ``parallel_requesters``
-        outstanding request streams (threads, SOUs, memory channels);
-        bandwidth is a shared ceiling.
-        """
-        if parallel_requesters <= 0:
-            raise ConfigError(
-                f"parallel_requesters must be positive: {parallel_requesters}"
-            )
-        latency_limited = accesses * self.latency_ns * 1e-9 / parallel_requesters
-        return max(latency_limited, self.transfer_seconds(total_bytes))
 
 
 DRAM_DDR4 = MemoryModel(name="DDR4-3200 (Xeon host)", latency_ns=90.0, bandwidth_gb_s=200.0)

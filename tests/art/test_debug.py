@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.art import AdaptiveRadixTree, encode_u64
-from repro.art.debug import depth_histogram, render_ascii, structure_digest
+from repro.art import AdaptiveRadixTree
+from repro.art.debug import render_ascii, structure_digest
 
 
 @pytest.fixture
@@ -80,18 +80,3 @@ class TestDigest:
         assert structure_digest(AdaptiveRadixTree()) == structure_digest(
             AdaptiveRadixTree()
         )
-
-
-class TestDepthHistogram:
-    def test_flat_tree(self, tree):
-        assert depth_histogram(tree) == {2: 2}
-
-    def test_empty(self):
-        assert depth_histogram(AdaptiveRadixTree()) == {}
-
-    def test_counts_sum_to_size(self):
-        t = AdaptiveRadixTree()
-        for i in range(333):
-            t.insert(encode_u64(i * 7), i)
-        histogram = depth_histogram(t)
-        assert sum(histogram.values()) == len(t)

@@ -28,17 +28,6 @@ class TestRowexLockTable:
         assert locks == 2
         assert table.accounting.acquisitions == 2
         assert table.accounting.parent_acquisitions == 1
-        assert table.accounting.hold_events == {5: 1, 2: 1}
-
-    def test_hottest_node(self):
-        table = RowexLockTable()
-        for _ in range(3):
-            table.lock_for_write(node_id=9, waiting_behind=0)
-        table.lock_for_write(node_id=4, waiting_behind=0)
-        assert table.hottest_node == (9, 3)
-
-    def test_hottest_node_empty(self):
-        assert RowexLockTable().hottest_node is None
 
     def test_contention_rate(self):
         table = RowexLockTable()
@@ -48,17 +37,6 @@ class TestRowexLockTable:
 
     def test_rate_zero_when_no_acquisitions(self):
         assert LockAccounting().contention_rate == 0.0
-
-    def test_merge(self):
-        a, b = LockAccounting(), LockAccounting()
-        a.acquisitions, a.contentions = 5, 1
-        a.hold_events = {1: 2}
-        b.acquisitions, b.contentions = 3, 2
-        b.hold_events = {1: 1, 2: 4}
-        a.merge(b)
-        assert a.acquisitions == 8
-        assert a.contentions == 3
-        assert a.hold_events == {1: 3, 2: 4}
 
 
 class TestCasCostModel:

@@ -83,15 +83,6 @@ class TestConflicts:
 
 
 class TestConflictGroups:
-    def test_enumeration(self):
-        groups = sim(window=4).conflict_groups([1, 1, 2, 1], [True, False, False, True])
-        by_node = {g.node_id: g for g in groups}
-        assert by_node[1].size == 3
-        assert by_node[1].writers == 2
-        assert by_node[1].is_conflicted
-        assert by_node[1].contentions == 2
-        assert not by_node[2].is_conflicted
-
     def test_read_only_group_not_conflicted(self):
         group = ConflictGroup(node_id=1, op_indices=[0, 1], writers=0)
         assert not group.is_conflicted

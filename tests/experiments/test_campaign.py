@@ -10,8 +10,12 @@ machinery, not the simulator; one real-simulation smoke cell at the end
 keeps the integration honest.
 """
 
+import hashlib
+
 import pytest
 
+import repro.workloads
+from repro.engines.base import Engine
 from repro.errors import ConfigError
 from repro.experiments.campaign import (
     ENGINE_PLATFORM_KIND,
@@ -23,6 +27,7 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.spec import KNOWN_ENGINES, CampaignSpec
 from repro.experiments.store import ResultStore
+from repro.harness.runner import ENGINE_ORDER
 
 
 def _spec(**overrides):
@@ -38,7 +43,7 @@ def _spec(**overrides):
     return CampaignSpec(**base)
 
 
-def _fake_worker(cell):
+def _fake_worker(cell, shared=None):
     """Deterministic stand-in for a simulation run."""
     return {
         "cell": {"engine": cell.engine, "workload": cell.workload,
@@ -106,7 +111,7 @@ class TestRunAndResume:
     ):
         spec = _spec(seeds=(1,), workloads=("IPGEO",))
 
-        def flaky(cell):
+        def flaky(cell, shared):
             if cell.engine == "DCART":
                 raise ValueError("transient")
             return _fake_worker(cell)
@@ -132,7 +137,7 @@ class TestRunAndResume:
         kill_after = 3
         progress = {"n": 0}
 
-        def killer(cell):
+        def killer(cell, shared):
             if progress["n"] >= kill_after:
                 raise KeyboardInterrupt  # Ctrl-C mid-campaign
             progress["n"] += 1
@@ -152,7 +157,7 @@ class TestRunAndResume:
 
             ran_keys = []
 
-            def counting(cell):
+            def counting(cell, shared):
                 ran_keys.append(cell.key())
                 return _fake_worker(cell)
 
@@ -239,3 +244,80 @@ class TestRealCellExecution:
         assert doubled["cell"]["platform_watts"] == 84.0
         # Energy is the only number the power dimension may touch.
         assert doubled["throughput_mops"] == base["throughput_mops"]
+
+
+class TestGroups:
+    """Cells sharing a seeded workload run as one group: the workload is
+    generated once and the operation-centric baselines price one walk."""
+
+    #: sha256 of the store dump this spec produced when every cell ran
+    #: alone (workload, tree and walk rebuilt per cell).
+    PINNED_DUMP = (
+        "6235dfd7be1102cc9cdfa5cbc1e84dc58c1d3b870b666731c723249f0302b264"
+    )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_grouped_store_matches_the_per_cell_store(self, tmp_path, jobs):
+        spec = CampaignSpec(
+            name="group-pin",
+            engines=ENGINE_ORDER,
+            workloads=("IPGEO", "RS"),
+            seeds=(1, 2),
+            n_keys=500,
+            n_ops=3_000,
+            write_ratio=0.4,
+        )
+        with ResultStore(str(tmp_path / "c.db")) as store:
+            run_campaign(spec, store, git_sha="unstamped", jobs=jobs)
+            dump = store.dump(spec.content_hash(), "unstamped", "full")
+        assert hashlib.sha256(dump.encode()).hexdigest() == self.PINNED_DUMP
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        calls = {"make_workload": 0, "collect_records": 0}
+        make_workload = repro.workloads.make_workload
+        collect_records = Engine.collect_records
+
+        def counting_make_workload(*args, **kwargs):
+            calls["make_workload"] += 1
+            return make_workload(*args, **kwargs)
+
+        def counting_collect_records(tree, workload):
+            calls["collect_records"] += 1
+            return collect_records(tree, workload)
+
+        monkeypatch.setattr(repro.workloads, "make_workload",
+                            counting_make_workload)
+        monkeypatch.setattr(Engine, "collect_records",
+                            staticmethod(counting_collect_records))
+        return calls
+
+    def test_cold_run_walks_each_group_once(self, tmp_path, monkeypatch):
+        spec = _spec(engines=ENGINE_ORDER, workloads=("IPGEO", "RS"),
+                     seeds=(1,), n_keys=300, n_ops=1_500)
+        calls = self._count_calls(monkeypatch)
+        with ResultStore(str(tmp_path / "c.db")) as store:
+            summary = run_campaign(spec, store, git_sha="unstamped")
+        assert summary["ran"] == 12 and summary["failed"] == 0
+        assert calls == {"make_workload": 2, "collect_records": 2}
+
+    def test_resumed_dcart_only_group_collects_no_records(
+        self, tmp_path, monkeypatch
+    ):
+        spec = _spec(engines=ENGINE_ORDER, workloads=("IPGEO",),
+                     seeds=(1,), n_keys=300, n_ops=1_500)
+
+        def all_but_dcart(cell, shared):
+            if cell.engine == "DCART":
+                raise KeyboardInterrupt  # killed before its last cell
+            return run_campaign_cell(cell, shared)
+
+        with ResultStore(str(tmp_path / "c.db")) as store:
+            with pytest.raises(KeyboardInterrupt):
+                run_campaign(spec, store, git_sha="unstamped",
+                             worker=all_but_dcart)
+            calls = self._count_calls(monkeypatch)
+            summary = run_campaign(spec, store, git_sha="unstamped")
+        assert summary["reused"] == 5 and summary["ran"] == 1
+        assert summary["failed"] == 0
+        assert calls == {"make_workload": 1, "collect_records": 0}

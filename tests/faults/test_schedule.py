@@ -155,29 +155,6 @@ class TestQueries:
         assert schedule.bandwidth_factor(1) == 0.5
         assert schedule.bandwidth_factor(3) == 1.0
 
-    def test_crash_at_is_seeded_and_replayable(self):
-        a = FaultSchedule.crash_at(seed=9, n_batches=10)
-        b = FaultSchedule.crash_at(seed=9, n_batches=10)
-        assert a == b
-        (event,) = a.events
-        assert isinstance(event, CrashFault)
-        assert event.point in CRASH_POINTS
-        assert 0 <= event.batch < 10
-        pinned = FaultSchedule.crash_at(
-            seed=9, n_batches=10, point="wal-torn-commit", batch=4
-        )
-        assert pinned.events[0].point == "wal-torn-commit"
-        assert pinned.events[0].batch == 4
-        with pytest.raises(ConfigError):
-            FaultSchedule.crash_at(seed=1, n_batches=0)
-
-    def test_crash_at_covers_the_matrix_across_seeds(self):
-        points = {
-            FaultSchedule.crash_at(seed=s, n_batches=8).events[0].point
-            for s in range(40)
-        }
-        assert points == set(CRASH_POINTS)
-
     def test_describe_mentions_every_event(self):
         schedule = FaultSchedule.generate(seed=5, n_batches=4)
         text = schedule.describe()

@@ -43,34 +43,6 @@ class TestTransfer:
             DRAM_DDR4.transfer_seconds(-1)
 
 
-class TestStream:
-    def test_latency_limited_regime(self):
-        model = MemoryModel("m", latency_ns=100, bandwidth_gb_s=1000)
-        # 1000 accesses x 64B: latency-limited (100us) >> bandwidth (64ns).
-        t = model.stream_seconds(1000, 64_000)
-        assert t == pytest.approx(1000 * 100e-9)
-
-    def test_bandwidth_limited_regime(self):
-        model = MemoryModel("m", latency_ns=1, bandwidth_gb_s=1)
-        t = model.stream_seconds(10, 10**9)
-        assert t == pytest.approx(1.0)
-
-    def test_parallel_requesters_amortise_latency(self):
-        model = MemoryModel("m", latency_ns=100, bandwidth_gb_s=1000)
-        serial = model.stream_seconds(1000, 64_000, parallel_requesters=1)
-        parallel = model.stream_seconds(1000, 64_000, parallel_requesters=10)
-        assert parallel == pytest.approx(serial / 10)
-
-    def test_bandwidth_is_shared_ceiling(self):
-        model = MemoryModel("m", latency_ns=1, bandwidth_gb_s=1)
-        t = model.stream_seconds(10, 10**9, parallel_requesters=1000)
-        assert t == pytest.approx(1.0)  # parallelism cannot beat bandwidth
-
-    def test_rejects_bad_requesters(self):
-        with pytest.raises(ConfigError):
-            DRAM_DDR4.stream_seconds(1, 64, parallel_requesters=0)
-
-
 class TestPresets:
     def test_ordering(self):
         # HBM stacks trade latency for bandwidth vs. DDR.
